@@ -81,7 +81,7 @@ def genus_oracle(code: GaussCode) -> int:
     result has one boundary component and genus (1 - chi) / 2.
     """
     surface = band_surface(code)
-    chi = surface.euler_characteristic + (boundary_components(code) - 1)
+    chi = surface.euler_characteristic + surface.inner_boundary_walks()
     if (1 - chi) % 2:
         raise InternalInvariantError(f"odd Euler defect: chi={chi} for n={code.n}")
     return (1 - chi) // 2

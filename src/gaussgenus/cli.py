@@ -13,7 +13,7 @@ import sys
 from . import dt as dt_mod
 from . import moves
 from .codes import GaussCode, GaussCodeError, InternalInvariantError, parse_gauss
-from .cycles import cycles, genus
+from .cycles import _circles, _genus_from_circles, cycles, genus
 from .dt import DtCodeError
 from .search import SearchConfig, search as _run_search
 
@@ -54,8 +54,8 @@ def _ints(values) -> str:
 
 
 def _stats(code: GaussCode) -> dict:
-    s = cycles(code).s
-    return {"n": code.n, "s": s, "genus": (code.n - s + 1) // 2}
+    s = _circles(code)[1]
+    return {"n": code.n, "s": s, "genus": _genus_from_circles(code, s)}
 
 
 def _cmd_validate(args) -> list[dict]:
@@ -209,6 +209,10 @@ def _cmd_batch(args) -> list[dict]:
                 rep = _search_report(line, code, _search_config(args))
         except (GaussCodeError, DtCodeError) as exc:
             rep = {"op": args.op_name, "input": line, "error": str(exc)}
+        except InternalInvariantError as exc:
+            # A bug shown by one line; the other lines still get reports.
+            rep = {"op": args.op_name, "input": line, "_status": 2,
+                   "error": f"internal invariant violation: {exc}"}
         rep["_compact"] = True
         reports.append(rep)
     return reports
@@ -348,7 +352,7 @@ def main(argv=None) -> int:
     status = 0
     for rep in reports:
         if "error" in rep:
-            status = 1
+            status = max(status, rep.get("_status", 1))
         _emit(rep, fmt)
     return status
 

@@ -69,14 +69,19 @@ class GaussCode:
     def __init__(self, units: Iterable[Unit]):
         units = tuple(units)
         label_pos: dict[int, list[int]] = {}
-        for i, u in enumerate(units):
-            if u.kind not in (OVER, UNDER):
-                raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
-            if u.label < 1:
-                raise GaussCodeError(f"label {u.label} at position {i} (labels start at 1)")
-            if u.sign not in _SIGN_CHAR:
-                raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
-            label_pos.setdefault(u.label, []).append(i)
+        try:
+            for i, u in enumerate(units):
+                if u.kind not in (OVER, UNDER):
+                    raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
+                if u.label < 1:
+                    raise GaussCodeError(f"label {u.label} at position {i} (labels start at 1)")
+                if u.sign not in _SIGN_CHAR:
+                    raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
+                label_pos.setdefault(u.label, []).append(i)
+        except (AttributeError, TypeError):
+            # Plain tuples and other foreign objects lack the Unit fields or
+            # carry fields of the wrong type.
+            raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
         for label, pos in label_pos.items():
             if len(pos) != 2:
                 raise GaussCodeError(
@@ -185,29 +190,52 @@ def parse_gauss(text: str) -> GaussCode:
     return GaussCode(units)
 
 
-def _rotation_key(code: GaussCode, offset: int) -> tuple:
-    relabel: dict[int, int] = {}
-    key = []
-    m = len(code.units)
-    for t in range(m):
-        u = code.units[(offset + t) % m]
-        fresh = relabel.setdefault(u.label, len(relabel) + 1)
-        key.append((0 if u.kind == OVER else 1, fresh, _SIGN_RANK[u.sign]))
-    return tuple(key)
-
-
 def canonical_rotation(code: GaussCode) -> int:
-    """The rotation offset whose relabeled serialization is least."""
-    m = len(code.units)
+    """The rotation offset whose relabeled serialization is least.
+
+    Relabeling is by first appearance from the offset; units compare as in
+    :func:`unit_order_key`, and ties go to the least offset.  Offsets are
+    eliminated step by step: after step t the surviving offsets share the
+    relabeled prefix of length t, so one step-to-label table serves all of
+    them.  The cost is the sum of the survivor counts: about O(m) on random
+    codes, O(m * c) on a code whose c rotations tie, and never more than the
+    O(m^2) of scoring every rotation.
+    """
+    units = code.units
+    m = len(units)
     if m == 0:
         return 0
-    best = 0
-    best_key = _rotation_key(code, 0)
-    for r in range(1, m):
-        key = _rotation_key(code, r)
-        if key < best_key:
-            best, best_key = r, key
-    return best
+    partner = code.partner
+    # One integer per unit orders like (kind, fresh label, sign): the label
+    # goes in at weight 4, above the sign rank and below the pass letter.
+    under_weight = 4 * (m + 1)
+    rank = [(under_weight if u.kind == UNDER else 0) + _SIGN_RANK[u.sign] for u in units]
+    fresh_at = [0] * m  # label given at each step of the shared prefix
+    next_fresh = 1
+    candidates = range(m)
+    for t in range(m):
+        best = None
+        survivors: list[int] = []
+        for r in candidates:
+            p = r + t
+            if p >= m:
+                p -= m
+            d = partner[p] - r  # step at which this unit's label appears
+            if d < 0:
+                d += m
+            key = rank[p] + 4 * (fresh_at[d] if d < t else next_fresh)
+            if best is None or key < best:
+                best = key
+                survivors = [r]
+            elif key == best:
+                survivors.append(r)
+        if len(survivors) == 1:
+            return survivors[0]
+        candidates = survivors
+        fresh_at[t] = (best % under_weight) >> 2
+        if fresh_at[t] == next_fresh:
+            next_fresh += 1
+    return candidates[0]
 
 
 def canonical_form(code: GaussCode) -> GaussCode:

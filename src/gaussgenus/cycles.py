@@ -26,25 +26,54 @@ def sigma_orbit(code: GaussCode, start: int) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def _interleave(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
-    # Recorded walk: each orbit element followed by its chord partner.
+def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
+    # Recorded walk: each orbit element followed by its chord partner, from
+    # the least phase.  Distinct positions carry distinct (pass, label)
+    # pairs, so the phase whose first unit is least gives the least walk.
+    units = code.units
+    partner = code.partner
+    k = min(range(len(orbit)), key=lambda t: unit_order_key(units[orbit[t]]))
     out = []
-    for x in orbit:
-        out.append(code.units[x])
-        out.append(code.units[code.partner[x]])
+    for x in orbit[k:] + orbit[:k]:
+        out.append(units[x])
+        out.append(units[partner[x]])
     return tuple(out)
 
 
-def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
-    # Phase is a free choice among orbit elements; print the least walk.
-    best = None
-    best_key = None
-    for s in range(len(orbit)):
-        cand = _interleave(code, orbit[s:] + orbit[:s])
-        key = tuple(unit_order_key(u) for u in cand)
-        if best is None or key < best_key:
-            best, best_key = cand, key
-    return best if best is not None else ()
+def _circles(code: GaussCode) -> tuple[list[int], int]:
+    """The circle index of every position, and the circle count s.
+
+    One pass over ``code.partner``.  Circles are numbered in the order of
+    their least position; :func:`cycles` lists them in that order.
+    """
+    partner = code.partner
+    m = len(partner)
+    if m == 0:
+        return [], 1
+    owner = [-1] * m
+    s = 0
+    for i in range(m):
+        if owner[i] >= 0:
+            continue
+        x = i
+        while owner[x] < 0:
+            owner[x] = s
+            x = partner[x] + 1
+            if x == m:
+                x = 0
+        s += 1
+    return owner, s
+
+
+def _genus_from_circles(code: GaussCode, s: int) -> int:
+    # The formula and its parity invariant, for callers that also need s.
+    doubled = code.n - s + 1
+    if doubled % 2 or doubled < 0:
+        raise InternalInvariantError(
+            f"impossible circle count s={s} for n={code.n} (n + s must be odd)"
+            f" in code {code.serialize()}"
+        )
+    return doubled // 2
 
 
 @dataclass(frozen=True)
@@ -89,15 +118,12 @@ def cycles(code: GaussCode) -> CycleDecomposition:
     m = len(code.units)
     if m == 0:
         return CycleDecomposition(cycles=(Cycle((), ()),), arc_owner=())
-    owner = [-1] * m
+    owner = _circles(code)[0]
     found = []
     for i in range(m):
-        if owner[i] >= 0:
-            continue
-        orbit = sigma_orbit(code, i)
-        for x in orbit:
-            owner[x] = len(found)
-        found.append(Cycle(orbit=orbit, recorded=_recorded(code, orbit)))
+        if owner[i] == len(found):  # least position of the next circle
+            orbit = sigma_orbit(code, i)
+            found.append(Cycle(orbit=orbit, recorded=_recorded(code, orbit)))
     arc_owner = tuple(owner[(i + 1) % m] for i in range(m))
     return CycleDecomposition(cycles=tuple(found), arc_owner=arc_owner)
 
@@ -105,15 +131,10 @@ def cycles(code: GaussCode) -> CycleDecomposition:
 def genus(code: GaussCode) -> int:
     """Genus of the spanning surface the smoothing produces.
 
-    Sign and pass data do not matter; only the chord pairing does.
+    Sign and pass data do not matter; only the chord pairing does.  Linear
+    in the code length: counting circles builds no printable walks.
     """
-    s = cycles(code).s
-    doubled = code.n - s + 1
-    if doubled % 2 or doubled < 0:
-        raise InternalInvariantError(
-            f"impossible circle count s={s} for n={code.n} (n + s must be odd)"
-        )
-    return doubled // 2
+    return _genus_from_circles(code, _circles(code)[1])
 
 
 def remove_chords(code: GaussCode, labels) -> GaussCode:
@@ -132,9 +153,5 @@ def chord_removal_drops_genus(code: GaussCode, label: int) -> bool:
     decomposition; otherwise the genus is unchanged.
     """
     a, b = code.positions_of(label)
-    decomposition = cycles(code)
-    owner = {}
-    for idx, cyc in enumerate(decomposition.cycles):
-        for x in cyc.orbit:
-            owner[x] = idx
+    owner = _circles(code)[0]
     return owner[a] == owner[b]

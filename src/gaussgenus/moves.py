@@ -23,7 +23,8 @@ from .codes import (
     canonical_rotation,
     flip_passes,
 )
-from .cycles import cycles, genus, remove_chords, sigma_orbit
+# ``cycles`` is unused here but stays bound: benchmarks/tracing.py rebinds it.
+from .cycles import _circles, cycles, genus, remove_chords, sigma_orbit  # noqa: F401
 
 _KIND_ALIASES = {
     "O": OVER,
@@ -131,10 +132,11 @@ def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:
     """
     _require_bridge(code, bridge)
     m = len(code.units)
-    decomposition = cycles(code)
-    arcs = [(bridge.positions[0] - 1) % m, *bridge.positions]
-    owners = {decomposition.arc_owner[a] for a in arcs}
-    return len(owners) < len(arcs)
+    owner = _circles(code)[0]
+    # The arc after position i is traversed by the circle through i+1, so
+    # these positions stand for the k+1 arcs around the bridge.
+    ends = [bridge.positions[0], *((p + 1) % m for p in bridge.positions)]
+    return len({owner[x] for x in ends}) < len(ends)
 
 
 def knotoid_genus(code: GaussCode, bridge: Bridge) -> int:
@@ -244,7 +246,7 @@ def _replace_over(code: GaussCode, bridge: Bridge) -> MoveOutcome:
             patterns.append((u.label, x, partner[x]))
     k = len(patterns)
     if len({a for a, _, _ in patterns}) != k:
-        raise InternalInvariantError("pattern crossings are not pairwise distinct")
+        raise _broken("pattern crossings are not pairwise distinct", code, removed)
 
     base = max(code.labels)
     block = [Unit(OVER, base + t, NEGATIVE if t % 2 else POSITIVE) for t in range(1, 2 * k + 1)]
@@ -279,18 +281,28 @@ def _replace_over(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     )
 
 
+def _broken(message: str, code: GaussCode, labels) -> InternalInvariantError:
+    # Input code and bridge labels reproduce the failing move.
+    pretty = ",".join(str(x) for x in labels)
+    return InternalInvariantError(f"{message} (input {code.serialize()}, bridge {pretty})")
+
+
 def _checked(code: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
-    g_before = genus(code)
-    g_after = genus(outcome.result)
-    g_open = genus(remove_chords(code, outcome.removed_labels))
+    labels = outcome.removed_labels
+    try:
+        g_before = genus(code)
+        g_after = genus(outcome.result)
+        g_open = genus(remove_chords(code, labels))
+    except InternalInvariantError as exc:
+        raise _broken(str(exc), code, labels) from exc
     if g_after != g_open:
-        raise InternalInvariantError(
-            f"replacement genus {g_after} differs from open-diagram genus {g_open}"
+        raise _broken(
+            f"replacement genus {g_after} differs from open-diagram genus {g_open}", code, labels
         )
     if g_after > g_before:
-        raise InternalInvariantError(f"replacement raised genus {g_before} -> {g_after}")
+        raise _broken(f"replacement raised genus {g_before} -> {g_after}", code, labels)
     if outcome.strict_decrease_predicted != (g_after < g_before):
-        raise InternalInvariantError("bypass prediction disagrees with genus drop")
+        raise _broken("bypass prediction disagrees with genus drop", code, labels)
     return outcome
 
 

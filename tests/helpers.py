@@ -44,6 +44,37 @@ def random_code(rng, n, signed=True) -> GaussCode:
     return GaussCode(units)
 
 
+def braid_closure_code(word) -> GaussCode | None:
+    """Gauss code of the closure of a braid word, or None for a link.
+
+    ``word`` lists letters (j, eps): generator sigma_j, eps = 1 for a
+    positive crossing and -1 for a negative one.
+    """
+    passes = []
+    slot, t = 1, 0
+    start = (slot, t)
+    while True:
+        j, eps = word[t]
+        if slot in (j, j + 1):
+            left = slot == j
+            over = (eps == 1) == left  # positive letter: left strand on top
+            passes.append((t, OVER if over else UNDER, POSITIVE if eps == 1 else NEGATIVE))
+            slot = j + 1 if left else j
+        t += 1
+        if t == len(word):
+            t = 0
+        if (slot, t) == start:
+            break
+    if len(passes) != 2 * len(word):
+        return None  # closure has several components
+    relabel: dict[int, int] = {}
+    units = [
+        Unit(kind, relabel.setdefault(letter, len(relabel) + 1), sign)
+        for letter, kind, sign in passes
+    ]
+    return GaussCode(units)
+
+
 def braid_knot_code(rng, max_strands=5, max_len=12) -> GaussCode:
     """Gauss code of a random braid closure with one component.
 
@@ -54,29 +85,20 @@ def braid_knot_code(rng, max_strands=5, max_len=12) -> GaussCode:
         strands = rng.randint(2, max_strands)
         length = rng.randint(2, max_len)
         word = [(rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(length)]
-        passes = []
-        slot, t = 1, 0
-        start = (slot, t)
-        while True:
-            j, eps = word[t]
-            if slot in (j, j + 1):
-                left = slot == j
-                over = (eps == 1) == left  # positive letter: left strand on top
-                passes.append((t, OVER if over else UNDER, POSITIVE if eps == 1 else NEGATIVE))
-                slot = j + 1 if left else j
-            t += 1
-            if t == length:
-                t = 0
-            if (slot, t) == start:
-                break
-        if len(passes) != 2 * length:
-            continue  # closure has several components, retry
-        relabel: dict[int, int] = {}
-        units = [
-            Unit(kind, relabel.setdefault(letter, len(relabel) + 1), sign)
-            for letter, kind, sign in passes
-        ]
-        return GaussCode(units)
+        code = braid_closure_code(word)
+        if code is not None:
+            return code
+
+
+def torus_code(p, q) -> GaussCode:
+    """T(p, q) as the closure of (sigma_1 ... sigma_{p-1})^q, gcd(p, q) = 1.
+
+    The code is invariant under a rotation by 2(p - 1) units up to relabeling,
+    so it has q tied canonical rotations.
+    """
+    code = braid_closure_code([(j, 1) for j in range(1, p)] * q)
+    assert code is not None, f"T({p},{q}) is a link"
+    return code
 
 
 # -- knot-group fingerprint --------------------------------------------------

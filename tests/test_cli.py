@@ -191,3 +191,28 @@ def test_internal_invariant_maps_to_exit_two(capsys, monkeypatch):
     status, _, err = run(capsys, "move", EIGHT_20, "--bridge", "4,5")
     assert status == 2
     assert "internal invariant" in err
+
+
+def test_batch_internal_invariant_reports_its_line(tmp_path, capsys, monkeypatch):
+    from gaussgenus import InternalInvariantError
+    from gaussgenus import cli as cli_module
+
+    real_search = cli_module._run_search
+
+    def boom_on_trefoil(code, config):
+        if code.n == 3:
+            raise InternalInvariantError("forced for the test")
+        return real_search(code, config)
+
+    monkeypatch.setattr(cli_module, "_run_search", boom_on_trefoil)
+    batch = tmp_path / "codes.txt"
+    batch.write_text(f"{TREFOIL}\nNONSENSE\n{EIGHT_20}\n", encoding="utf-8")
+    argv = ("--format", "json", "batch", str(batch), "--op", "search", "--depth", "1")
+    status, out, _ = run(capsys, *argv)
+    assert status == 2  # an internal error outranks a malformed line
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["input"] for r in reports] == [TREFOIL, "NONSENSE", EIGHT_20]
+    assert reports[0]["error"] == "internal invariant violation: forced for the test"
+    assert reports[1]["error"].startswith("malformed unit")
+    assert reports[2]["genus"] == 2
+    assert all(not key.startswith("_") for r in reports for key in r)

@@ -72,6 +72,19 @@ def test_parse_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "units",
+    [
+        [("O", 1, 1), ("U", 1, 1)],  # plain tuples
+        [Unit(OVER, 1, 1), "U1+"],  # a string
+        [Unit(OVER, "1", 1), Unit(UNDER, "1", 1)],  # label of the wrong type
+    ],
+)
+def test_constructor_rejects_non_units(units):
+    with pytest.raises(GaussCodeError, match="not a Unit"):
+        GaussCode(units)
+
+
 def test_unsigned_round_trip():
     code = parse_gauss("O1?U2?O2?U1?")
     assert not code.signed

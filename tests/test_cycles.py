@@ -1,6 +1,7 @@
 """Circle decomposition, genus, and chord removal."""
 
 import random
+import sys
 
 import pytest
 
@@ -110,3 +111,14 @@ def test_genus_ignores_passes_and_signs():
     for _ in range(40):
         code = random_code(rng, rng.randint(1, 9))
         assert genus(flip_passes(code)) == genus(code)
+
+
+def test_parity_violation_names_the_code(monkeypatch):
+    from gaussgenus import InternalInvariantError
+    from gaussgenus.cycles import _circles
+
+    cycles_module = sys.modules["gaussgenus.cycles"]
+    monkeypatch.setattr(cycles_module, "_circles", lambda c: (None, _circles(c)[1] + 1))
+    with pytest.raises(InternalInvariantError, match="n \\+ s must be odd") as err:
+        genus(parse_gauss(TREFOIL))
+    assert TREFOIL in str(err.value)

@@ -158,6 +158,18 @@ def test_replace_rejects_foreign_bridge():
         bridge_replace(code, alien)
 
 
+def test_replace_self_check_names_input_and_bridge(monkeypatch):
+    from gaussgenus import InternalInvariantError
+    from gaussgenus import moves as moves_module
+
+    real_genus = moves_module.genus
+    code = parse_gauss(EIGHT_20)
+    monkeypatch.setattr(moves_module, "genus", lambda c: real_genus(c) + (c != code))
+    with pytest.raises(InternalInvariantError) as err:
+        bridge_replace(code, find_bridge(code, (4, 5)))
+    assert f"(input {EIGHT_20}, bridge 4,5)" in str(err.value)
+
+
 def test_replace_genus_contract_random():
     rng = random.Random(911)
     for _ in range(250):
