@@ -83,5 +83,7 @@ def genus_oracle(code: GaussCode) -> int:
     surface = band_surface(code)
     chi = surface.euler_characteristic + surface.inner_boundary_walks()
     if (1 - chi) % 2:
-        raise InternalInvariantError(f"odd Euler defect: chi={chi} for n={code.n}")
+        raise InternalInvariantError(
+            f"odd Euler defect: chi={chi} for n={code.n} in code {code.serialize()}"
+        )
     return (1 - chi) // 2

@@ -20,10 +20,10 @@ from .codes import (
     GaussCodeError,
     InternalInvariantError,
     Unit,
-    canonical_rotation,
-    flip_passes,
 )
-# ``cycles`` is unused here but stays bound: benchmarks/tracing.py rebinds it.
+# ``canonical_rotation`` and ``cycles`` are unused here but stay bound:
+# benchmarks/tracing.py rebinds them.
+from .codes import canonical_rotation  # noqa: F401
 from .cycles import _circles, cycles, genus, remove_chords, sigma_orbit  # noqa: F401
 
 _KIND_ALIASES = {
@@ -165,36 +165,16 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     """Replace the bridge by a new one routed along the smoothing interval.
 
     The genus of the result equals the genus of the code with the bridge's
-    crossings deleted, and never exceeds the genus of the input.
+    crossings deleted, and never exceeds the genus of the input.  An under
+    bridge is replaced exactly as the over bridge of the mirror image
+    (:func:`flip_passes`) would be, with every pass letter interchanged.
     """
     if not code.signed:
         raise GaussCodeError("bridge replacement requires a fully signed code")
     _require_bridge(code, bridge)
-    if bridge.kind == UNDER:
-        mirrored = _replace_over(flip_passes(code), _flip_bridge(bridge))
-        return MoveOutcome(
-            result=flip_passes(mirrored.result),
-            removed_labels=mirrored.removed_labels,
-            anchor=mirrored.anchor.flipped() if mirrored.anchor else None,
-            guide=tuple(u.flipped() for u in mirrored.guide),
-            pattern_labels=mirrored.pattern_labels,
-            inserted_labels=mirrored.inserted_labels,
-            strict_decrease_predicted=mirrored.strict_decrease_predicted,
-        )
-    return _replace_over(code, bridge)
-
-
-def _flip_bridge(bridge: Bridge) -> Bridge:
-    return Bridge(
-        kind=OVER if bridge.kind == UNDER else UNDER,
-        positions=bridge.positions,
-        labels=bridge.labels,
-        maximal=bridge.maximal,
-    )
-
-
-def _replace_over(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     m = len(code.units)
+    top = bridge.kind
+    bottom = UNDER if top == OVER else OVER
     doomed = frozenset(bridge.labels)
     removed = tuple(sorted(doomed))
     strict = strictly_decreases(code, bridge)
@@ -202,6 +182,7 @@ def _replace_over(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     if len(trimmed) == 0:
         return _checked(
             code,
+            trimmed,
             MoveOutcome(
                 result=trimmed,
                 removed_labels=removed,
@@ -237,24 +218,25 @@ def _replace_over(code: GaussCode, bridge: Bridge) -> MoveOutcome:
 
     # Pattern crossings: chord steps of the guide, scanned leftward from X,
     # where the new bridge must cross the interval.  A '+' crossing matches
-    # when stepped over-to-under, a '-' crossing under-to-over; each chord
-    # matches in at most one direction, so pattern labels stay distinct.
+    # when stepped from the bridge's pass letter to the other one, a '-'
+    # crossing the other way; each chord matches in at most one direction,
+    # so pattern labels stay distinct.
     patterns = []
     for x in reversed(orbit):
         u = trimmed.units[x]
-        if (u.sign == POSITIVE and u.kind == OVER) or (u.sign == NEGATIVE and u.kind == UNDER):
+        if (u.sign == POSITIVE and u.kind == top) or (u.sign == NEGATIVE and u.kind == bottom):
             patterns.append((u.label, x, partner[x]))
     k = len(patterns)
     if len({a for a, _, _ in patterns}) != k:
         raise _broken("pattern crossings are not pairwise distinct", code, removed)
 
     base = max(code.labels)
-    block = [Unit(OVER, base + t, NEGATIVE if t % 2 else POSITIVE) for t in range(1, 2 * k + 1)]
+    block = [Unit(top, base + t, NEGATIVE if t % 2 else POSITIVE) for t in range(1, 2 * k + 1)]
     after: dict[int, Unit] = {}
     before: dict[int, Unit] = {}
     for j, (_, q1, q2) in enumerate(patterns, start=1):
-        after[q2] = Unit(UNDER, base + 2 * j - 1, NEGATIVE)
-        before[(q1 - 1) % mm] = Unit(UNDER, base + 2 * j, POSITIVE)
+        after[q2] = Unit(bottom, base + 2 * j - 1, NEGATIVE)
+        before[(q1 - 1) % mm] = Unit(bottom, base + 2 * j, POSITIVE)
 
     out: list[Unit] = []
     for t in range(mm):
@@ -269,6 +251,7 @@ def _replace_over(code: GaussCode, bridge: Bridge) -> MoveOutcome:
 
     return _checked(
         code,
+        trimmed,
         MoveOutcome(
             result=result,
             removed_labels=removed,
@@ -287,12 +270,13 @@ def _broken(message: str, code: GaussCode, labels) -> InternalInvariantError:
     return InternalInvariantError(f"{message} (input {code.serialize()}, bridge {pretty})")
 
 
-def _checked(code: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
+def _checked(code: GaussCode, trimmed: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
+    # ``trimmed`` is the open diagram: ``code`` without the bridge crossings.
     labels = outcome.removed_labels
     try:
         g_before = genus(code)
         g_after = genus(outcome.result)
-        g_open = genus(remove_chords(code, labels))
+        g_open = genus(trimmed)
     except InternalInvariantError as exc:
         raise _broken(str(exc), code, labels) from exc
     if g_after != g_open:
@@ -306,43 +290,51 @@ def _checked(code: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
     return outcome
 
 
-def _cancellable_pairs(code: GaussCode) -> list[tuple[int, int, int]]:
-    """Candidate RII cancellations as (o_pair_start, label_a, label_b).
-
-    Labels a, b cancel when their O passes sit at adjacent positions (a
-    first), their U passes are adjacent in either order, and the signs are
-    opposite.
-    """
-    m = len(code.units)
-    out = []
-    for i in range(m):
-        ua = code.units[i]
-        ub = code.units[(i + 1) % m]
-        if ua.kind != OVER or ub.kind != OVER or ua.label == ub.label:
-            continue
-        if ua.sign != -ub.sign:
-            continue
-        a_under = next(p for p in code.positions_of(ua.label) if p != i)
-        b_under = next(p for p in code.positions_of(ub.label) if p != (i + 1) % m)
-        if (a_under + 1) % m == b_under or (b_under + 1) % m == a_under:
-            out.append((i, ua.label, ub.label))
-    return out
-
-
 def rii_reduce(code: GaussCode) -> GaussCode:
     """Cancel opposite-sign adjacent crossing pairs until none remains.
 
-    Deterministic: each round cancels the candidate whose O pair starts at
-    the least position, measured from the canonical rotation so that
-    rotations of one code reduce to cyclically equal codes.
+    Labels a, b cancel when their O passes sit at adjacent positions (a
+    first), their U passes are adjacent in either order, and the signs are
+    opposite.  One pass over a worklist of O positions on a linked cycle of
+    the live units: a cancellation re-tests only the positions whose
+    neighbourhood it changed, so a call is O(m) and builds one code at the
+    end, or returns ``code`` itself when nothing cancels.
+
+    Cancellation is confluent up to relabelling: where two candidates
+    overlap, as on alternating runs, either leaves the same chord under a
+    different label.  So rotations of one code reduce to codes with equal
+    :func:`canonical_form`, though the surviving labels may differ.
     """
     if not code.signed:
         raise GaussCodeError("RII reduction requires a fully signed code")
-    while True:
-        candidates = _cancellable_pairs(code)
-        if not candidates:
-            return code
-        shift = canonical_rotation(code)
-        m = len(code.units)
-        i, a, b = min(candidates, key=lambda c: (c[0] - shift) % m)
-        code = remove_chords(code, (a, b))
+    units = code.units
+    partner = code.partner
+    m = len(units)
+    over = [u.kind == OVER for u in units]
+    nxt = [(t + 1) % m for t in range(m)]
+    prv = [(t - 1) % m for t in range(m)]
+    alive = [True] * m
+    work = [t for t in range(m - 1, -1, -1) if over[t]]  # least position pops first
+    while work:
+        i = work.pop()
+        if not alive[i]:
+            continue
+        j = nxt[i]
+        if not over[j] or units[i].sign == units[j].sign:
+            continue
+        a, b = partner[i], partner[j]
+        if nxt[a] != b and nxt[b] != a:
+            continue
+        for r in (i, j, a, b):
+            p, q = prv[r], nxt[r]
+            nxt[p] = q
+            prv[q] = p
+            alive[r] = False
+            # A pair turns cancellable only through a new adjacency, of its
+            # O passes (the first is then p) or of its U passes (then p and
+            # q), so its first O pass is the O pass of p's or q's label.
+            for y in (p, q):
+                work.append(y if over[y] else partner[y])
+    if all(alive):
+        return code
+    return GaussCode(units[t] for t in range(m) if alive[t])

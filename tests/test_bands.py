@@ -2,7 +2,11 @@
 
 import random
 
+import pytest
+
 from gaussgenus import (
+    BandSurface,
+    InternalInvariantError,
     band_surface,
     boundary_components,
     cycles,
@@ -46,3 +50,12 @@ def test_agrees_with_circle_count_on_random_codes():
         code = random_code(rng, rng.randint(0, 12))
         assert boundary_components(code) == cycles(code).s + 1
         assert genus_oracle(code) == genus(code)
+
+
+def test_odd_euler_defect_names_the_code(monkeypatch):
+    # One boundary walk too many breaks the parity of chi.
+    walks = BandSurface.inner_boundary_walks
+    monkeypatch.setattr(BandSurface, "inner_boundary_walks", lambda self: walks(self) + 1)
+    with pytest.raises(InternalInvariantError, match="odd Euler defect") as err:
+        genus_oracle(parse_gauss(EIGHT_20))
+    assert str(err.value).endswith(f"for n=8 in code {EIGHT_20}")

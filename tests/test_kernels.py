@@ -1,9 +1,10 @@
 """Differential tests: the linear-time kernels against the quadratic ones.
 
-The reference implementations below are the scans that the orbit pass and
-candidate elimination replaced.  They are kept here as oracles: every
-rotation scored in full, every phase of every circle tried, and the genus
-counted from the printable decomposition.
+The reference implementations below are the scans that the orbit pass,
+candidate elimination and the one-pass RII worklist replaced.  They are kept
+here as oracles: every rotation scored in full, every phase of every circle
+tried, the genus counted from the printable decomposition, and RII pairs
+cancelled one round at a time from the canonical base point.
 """
 
 import random
@@ -11,18 +12,33 @@ import random
 import pytest
 
 from gaussgenus import (
+    NEGATIVE,
     OVER,
+    POSITIVE,
+    UNDER,
     GaussCode,
+    Unit,
+    canonical_form,
     chord_removal_drops_genus,
     cycles,
     enumerate_bridges,
     genus,
     parse_gauss,
+    remove_chords,
+    rii_reduce,
     strictly_decreases,
 )
 from gaussgenus.codes import _SIGN_RANK, canonical_rotation, unit_order_key
 from gaussgenus.cycles import sigma_orbit
-from helpers import EIGHT_20, TREFOIL, braid_knot_code, random_code, torus_code
+from helpers import (
+    EIGHT_20,
+    RII_PAIR,
+    TREFOIL,
+    braid_closure_code,
+    braid_knot_code,
+    random_code,
+    torus_code,
+)
 
 # -- reference implementations ------------------------------------------------
 
@@ -89,6 +105,42 @@ def reference_genus(code):
     return (code.n - len(reference_cycles(code)[0]) + 1) // 2
 
 
+def _cancellable_pairs(code):
+    """Candidate RII cancellations as (o_pair_start, label_a, label_b).
+
+    Labels a, b cancel when their O passes sit at adjacent positions (a
+    first), their U passes are adjacent in either order, and the signs are
+    opposite.
+    """
+    m = len(code.units)
+    out = []
+    for i in range(m):
+        ua = code.units[i]
+        ub = code.units[(i + 1) % m]
+        if ua.kind != OVER or ub.kind != OVER or ua.label == ub.label:
+            continue
+        if ua.sign != -ub.sign:
+            continue
+        a_under = next(p for p in code.positions_of(ua.label) if p != i)
+        b_under = next(p for p in code.positions_of(ub.label) if p != (i + 1) % m)
+        if (a_under + 1) % m == b_under or (b_under + 1) % m == a_under:
+            out.append((i, ua.label, ub.label))
+    return out
+
+
+def reference_rii_reduce(code):
+    """Each round cancels the candidate whose O pair starts at the least
+    position, measured from the canonical rotation."""
+    while True:
+        candidates = _cancellable_pairs(code)
+        if not candidates:
+            return code
+        shift = canonical_rotation(code)
+        m = len(code.units)
+        i, a, b = min(candidates, key=lambda c: (c[0] - shift) % m)
+        code = remove_chords(code, (a, b))
+
+
 # -- corpus ------------------------------------------------------------------
 
 
@@ -127,6 +179,67 @@ def _torus_codes():
 
 
 CORPORA = {"random": _random_codes, "braid": _braid_codes, "torus": _torus_codes}
+
+
+def _padded_braid_codes():
+    """Braid closures with cancelling s_j s_j^-1 pairs inserted in the word."""
+    rng = random.Random(2718)
+    out = []
+    while len(out) < 80:
+        strands = rng.randint(2, 6)
+        word = [
+            (rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(2, 14))
+        ]
+        for _ in range(rng.randint(1, 8)):
+            j, eps = rng.randint(1, strands - 1), rng.choice((1, -1))
+            at = rng.randint(0, len(word))
+            word[at:at] = [(j, eps), (j, -eps)]
+        code = braid_closure_code(word)
+        if code is not None:
+            out.append(code.rotated(rng.randrange(len(code))))
+    return out
+
+
+def _chain_heavy_codes():
+    """Random codes with alternating-sign chains inserted: an O run of 2-5
+    passes and the matching U run, forward or reversed, anywhere in the code
+    (inside other chains too), with the chain's pass letters optionally
+    flipped; read from a random unit."""
+    rng = random.Random(1618)
+    out = []
+    for _ in range(300):
+        units = list(random_code(rng, rng.randint(0, 6)).units)
+        label = len(units) // 2
+        for _ in range(rng.randint(1, 4)):
+            length = rng.randint(2, 5)
+            sign = rng.choice((POSITIVE, NEGATIVE))
+            top, bottom = (UNDER, OVER) if rng.random() < 0.3 else (OVER, UNDER)
+            chain = [(label + t, sign if t % 2 else -sign) for t in range(1, length + 1)]
+            label += length
+            first = [Unit(top, lab, sg) for lab, sg in chain]
+            second = [Unit(bottom, lab, sg) for lab, sg in chain]
+            if rng.random() < 0.5:
+                second.reverse()
+            at = rng.randint(0, len(units))
+            units[at:at] = first
+            at = rng.randint(0, len(units))
+            units[at:at] = second
+        code = GaussCode(units)
+        out.append(code.rotated(rng.randrange(len(code))))
+    return out
+
+
+def _signed_random_codes():
+    rng = random.Random(4096)
+    fixtures = [parse_gauss(TREFOIL), parse_gauss(EIGHT_20), parse_gauss(RII_PAIR)]
+    return fixtures + [random_code(rng, rng.randint(0, 14)) for _ in range(400)]
+
+
+RII_CORPORA = {
+    "random": _signed_random_codes,
+    "padded_braid": _padded_braid_codes,
+    "chain_heavy": _chain_heavy_codes,
+}
 
 
 # -- tests -------------------------------------------------------------------
@@ -175,3 +288,17 @@ def test_orbit_predicates_match_arc_owners(corpus):
             bypass = len({arc_owner[x] for x in arcs}) < len(arcs)
             assert strictly_decreases(code, bridge) == bypass
 
+
+@pytest.mark.parametrize("corpus", sorted(RII_CORPORA))
+def test_rii_reduce_matches_round_by_round(corpus):
+    cancelled = 0
+    for code in RII_CORPORA[corpus]():
+        ours = rii_reduce(code)
+        theirs = reference_rii_reduce(code)
+        assert ours.n == theirs.n, code
+        assert canonical_form(ours) == canonical_form(theirs), code
+        assert not _cancellable_pairs(ours), code
+        if not _cancellable_pairs(code):
+            assert ours is code
+        cancelled += code.n - ours.n
+    assert cancelled > 0  # every corpus exercises cancellation

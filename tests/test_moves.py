@@ -22,7 +22,6 @@ from gaussgenus import (
     rii_reduce,
     strictly_decreases,
 )
-from gaussgenus.moves import _cancellable_pairs
 from helpers import (
     EIGHT_20,
     EIGHT_20_GUIDE_45,
@@ -33,6 +32,7 @@ from helpers import (
     knot_fingerprint,
     random_code,
 )
+from test_kernels import _cancellable_pairs
 
 
 # -- bridges -----------------------------------------------------------------
@@ -182,14 +182,23 @@ def test_replace_genus_contract_random():
 
 
 def test_replace_mirror_symmetry():
+    # An under bridge is replaced as the over bridge of the mirror image
+    # would be: every field agrees once pass letters are interchanged.
     rng = random.Random(333)
-    for _ in range(100):
-        code = random_code(rng, rng.randint(1, 9))
+    codes = [random_code(rng, rng.randint(1, 9)) for _ in range(100)]
+    codes += [braid_knot_code(rng) for _ in range(40)]
+    for code in codes:
         for bridge in enumerate_bridges(code, "under", 1):
             flipped = Bridge(OVER, bridge.positions, bridge.labels, bridge.maximal)
-            ours = bridge_replace(code, bridge).result
-            theirs = bridge_replace(flip_passes(code), flipped).result
-            assert flip_passes(theirs) == ours
+            ours = bridge_replace(code, bridge)
+            theirs = bridge_replace(flip_passes(code), flipped)
+            assert ours.result == flip_passes(theirs.result)
+            assert ours.anchor == (theirs.anchor.flipped() if theirs.anchor else None)
+            assert ours.guide == tuple(u.flipped() for u in theirs.guide)
+            assert ours.pattern_labels == theirs.pattern_labels
+            assert ours.inserted_labels == theirs.inserted_labels
+            assert ours.removed_labels == theirs.removed_labels
+            assert ours.strict_decrease_predicted == theirs.strict_decrease_predicted
 
 
 def test_replace_preserves_knot_type_on_realizable_codes():
