@@ -150,14 +150,17 @@ def _cmd_import_dt(args) -> list[dict]:
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        strategy="breadth_first" if args.strategy == "bfs" else "greedy",
-        max_depth=args.depth,
-        beam_width=args.beam,
-        min_bridge_len=args.min_len,
-        apply_rii=not args.no_rii,
-        only_strict=args.strict_only,
-    )
+    try:
+        return SearchConfig(
+            strategy="breadth_first" if args.strategy == "bfs" else "greedy",
+            max_depth=args.depth,
+            beam_width=args.beam,
+            min_bridge_len=args.min_len,
+            apply_rii=not args.no_rii,
+            only_strict=args.strict_only,
+        )
+    except ValueError as exc:  # an out-of-range flag is invalid input
+        raise GaussCodeError(str(exc)) from None
 
 
 def _search_report(input_text: str, code: GaussCode, config) -> dict:
@@ -196,6 +199,7 @@ def _cmd_batch(args) -> list[dict]:
                 text = fh.read()
         except OSError as exc:
             raise GaussCodeError(f"cannot read batch file: {exc}") from None
+    config = _search_config(args) if args.op_name == "search" else None
     reports = []
     for line in text.splitlines():
         line = line.strip()
@@ -206,7 +210,7 @@ def _cmd_batch(args) -> list[dict]:
             if args.op_name == "genus":
                 rep = {"op": "genus", "input": line, **_stats(code)}
             else:
-                rep = _search_report(line, code, _search_config(args))
+                rep = _search_report(line, code, config)
         except (GaussCodeError, DtCodeError) as exc:
             rep = {"op": args.op_name, "input": line, "error": str(exc)}
         except InternalInvariantError as exc:

@@ -28,6 +28,8 @@ _CHAR_SIGN = {"+": POSITIVE, "-": NEGATIVE, "?": UNSIGNED}
 _SIGN_RANK = {POSITIVE: 0, NEGATIVE: 1, UNSIGNED: 2}
 
 _UNIT_RE = re.compile(r"([OU])(\d+)([+\-?])")
+# A whole code; where a match stops short of the end, the text is malformed.
+_CODE_RE = re.compile(r"\s*(?:[OU]\d+[+\-?]\s*)*")
 
 
 class GaussCodeError(ValueError):
@@ -64,7 +66,7 @@ class GaussCode:
     compare equal.
     """
 
-    __slots__ = ("units", "partner", "_label_pos")
+    __slots__ = ("units", "partner", "signed", "_label_pos")
 
     def __init__(self, units: Iterable[Unit]):
         units = tuple(units)
@@ -104,7 +106,27 @@ class GaussCode:
             partner[a], partner[b] = b, a
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "partner", tuple(partner))
+        object.__setattr__(self, "signed", True not in unsigned_flags)
         object.__setattr__(self, "_label_pos", {k: tuple(v) for k, v in label_pos.items()})
+
+    @classmethod
+    def _derived(
+        cls, units: tuple[Unit, ...], partner: tuple[int, ...], signed: bool
+    ) -> "GaussCode":
+        """A code mapped from a valid one without checks.
+
+        Only for maps that keep every surviving chord whole: deleting whole
+        chords, rotating, flipping passes, relabeling one to one.  ``partner``
+        and ``signed`` must be what :meth:`__init__` would compute.
+        """
+        code = object.__new__(cls)
+        object.__setattr__(code, "units", units)
+        object.__setattr__(code, "partner", partner)
+        object.__setattr__(code, "signed", signed)
+        # First-occurrence order, as __init__ builds it.
+        label_pos = {units[i].label: (i, j) for i, j in enumerate(partner) if i < j}
+        object.__setattr__(code, "_label_pos", label_pos)
+        return code
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussCode is immutable")
@@ -132,10 +154,6 @@ class GaussCode:
         return f"GaussCode({self.serialize()!r})"
 
     @property
-    def signed(self) -> bool:
-        return all(u.sign != UNSIGNED for u in self.units)
-
-    @property
     def labels(self) -> frozenset[int]:
         return frozenset(self._label_pos)
 
@@ -155,7 +173,7 @@ class GaussCode:
         if m == 0:
             return self
         offset %= m
-        return GaussCode(self.units[offset:] + self.units[:offset])
+        return _rotate(self, offset, self.units[offset:] + self.units[:offset])
 
     def serialize(self, start: int = 0) -> str:
         """Emit the units once around the cycle from ``start``, no separators."""
@@ -174,19 +192,26 @@ def parse_gauss(text: str) -> GaussCode:
     >>> parse_gauss("O1-U2-O3-U1-O2-U3-").n
     3
     """
-    units = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _UNIT_RE.match(text, i)
-        if not m:
-            snippet = text[i : i + 8]
-            raise GaussCodeError(f"malformed unit at offset {i}: {snippet!r}")
-        kind, digits, sign = m.groups()
-        units.append(Unit(kind, int(digits), _CHAR_SIGN[sign]))
-        i = m.end()
+    i = _CODE_RE.match(text).end()
+    if i < len(text):
+        snippet = text[i : i + 8]
+        raise GaussCodeError(f"malformed unit at offset {i}: {snippet!r}")
+    try:
+        units = [
+            Unit(kind, int(digits), _CHAR_SIGN[sign])
+            for kind, digits, sign in _UNIT_RE.findall(text)
+        ]
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        for m in _UNIT_RE.finditer(text):
+            digits = m.group(2)
+            try:
+                int(digits)
+            except ValueError:
+                raise GaussCodeError(
+                    f"label at offset {m.start()} is too long ({len(digits)} digits)"
+                ) from None
+        raise
     return GaussCode(units)
 
 
@@ -249,12 +274,11 @@ def canonical_form(code: GaussCode) -> GaussCode:
         return code
     r = canonical_rotation(code)
     relabel: dict[int, int] = {}
-    out = []
-    for t in range(m):
-        u = code.units[(r + t) % m]
-        fresh = relabel.setdefault(u.label, len(relabel) + 1)
-        out.append(Unit(u.kind, fresh, u.sign))
-    return GaussCode(out)
+    out = tuple([
+        Unit(u.kind, relabel.setdefault(u.label, len(relabel) + 1), u.sign)
+        for u in code.units[r:] + code.units[:r]
+    ])
+    return _rotate(code, r, out)
 
 
 def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
@@ -274,4 +298,29 @@ def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
 
 def flip_passes(code: GaussCode) -> GaussCode:
     """Interchange over and under everywhere (labels and signs unchanged)."""
-    return GaussCode(u.flipped() for u in code.units)
+    units = tuple([u.flipped() for u in code.units])
+    return GaussCode._derived(units, code.partner, code.signed)
+
+
+def _rotate(code: GaussCode, r: int, units: tuple[Unit, ...]) -> GaussCode:
+    # ``units`` is ``code`` read from offset r, relabeled one to one or not.
+    partner = code.partner
+    m = len(partner)
+    rotated = tuple([(p - r) % m for p in partner[r:] + partner[:r]])
+    return GaussCode._derived(units, rotated, code.signed)
+
+
+def _restrict(code: GaussCode, keep: list[int]) -> GaussCode:
+    """The code read only at the ascending positions ``keep``, which must
+    hold both passes of every chord they touch."""
+    index = [0] * len(code.units)
+    for t, p in enumerate(keep):
+        index[p] = t
+    units = code.units
+    partner = code.partner
+    return GaussCode._derived(
+        tuple([units[p] for p in keep]),
+        tuple([index[partner[p]] for p in keep]),
+        # A code without units is signed; an unsigned one has no signed unit.
+        code.signed or not keep,
+    )

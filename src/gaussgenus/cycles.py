@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import GaussCode, GaussCodeError, InternalInvariantError, Unit, unit_order_key
+from .codes import (
+    GaussCode,
+    GaussCodeError,
+    InternalInvariantError,
+    Unit,
+    _restrict,
+    unit_order_key,
+)
 
 
 def sigma_orbit(code: GaussCode, start: int) -> tuple[int, ...]:
@@ -143,7 +150,7 @@ def remove_chords(code: GaussCode, labels) -> GaussCode:
     missing = labels - code.labels
     if missing:
         raise GaussCodeError(f"unknown label {min(missing)}")
-    return GaussCode(u for u in code.units if u.label not in labels)
+    return _restrict(code, [i for i, u in enumerate(code.units) if u.label not in labels])
 
 
 def chord_removal_drops_genus(code: GaussCode, label: int) -> bool:

@@ -20,6 +20,7 @@ from .codes import (
     GaussCodeError,
     InternalInvariantError,
     Unit,
+    _restrict,
 )
 # ``canonical_rotation`` and ``cycles`` are unused here but stay bound:
 # benchmarks/tracing.py rebinds them.
@@ -178,8 +179,9 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     doomed = frozenset(bridge.labels)
     removed = tuple(sorted(doomed))
     strict = strictly_decreases(code, bridge)
-    trimmed = remove_chords(code, doomed)
-    if len(trimmed) == 0:
+    kept = [i for i in range(m) if code.units[i].label not in doomed]
+    trimmed = _restrict(code, kept)
+    if not kept:
         return _checked(
             code,
             trimmed,
@@ -199,7 +201,6 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     pos = (bridge.positions[0] - 1) % m
     while code.units[pos].label in doomed:
         pos = (pos - 1) % m
-    kept = [i for i in range(m) if code.units[i].label not in doomed]
     xc = kept.index(pos)
 
     mm = len(trimmed.units)
@@ -337,4 +338,4 @@ def rii_reduce(code: GaussCode) -> GaussCode:
                 work.append(y if over[y] else partner[y])
     if all(alive):
         return code
-    return GaussCode(units[t] for t in range(m) if alive[t])
+    return _restrict(code, [t for t in range(m) if alive[t]])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -161,6 +162,44 @@ def test_batch_search_one_line_per_input(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("g=2 ")
     assert lines[1].startswith("g=1 ")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"
+)
+def test_overlong_label_is_invalid_input(tmp_path, capsys):
+    long = "9" * 5000
+    overlong = f"O{long}+U{long}+"
+    status, out, err = run(capsys, "genus", overlong)
+    assert status == 1
+    assert out == ""
+    assert err == "gaussgenus: label at offset 0 is too long (5000 digits)\n"
+    batch = tmp_path / "codes.txt"
+    batch.write_text(f"{TREFOIL}\n{overlong}\n{RII_PAIR}\n", encoding="utf-8")
+    status, out, _ = run(capsys, "batch", str(batch), "--op", "genus")
+    assert status == 1  # one line failed, the others were still read
+    lines = out.splitlines()
+    assert lines == [
+        "n=3 s=2 g=1",
+        "error: label at offset 0 is too long (5000 digits)",
+        "n=2 s=1 g=1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", TREFOIL, "--depth", "0"),
+        ("search", TREFOIL, "--beam", "0"),
+        ("batch", "-", "--op", "search", "--beam", "0"),
+    ],
+)
+def test_out_of_range_search_flags_exit_one(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(TREFOIL + "\n"))
+    status, out, err = run(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("gaussgenus: ") and "must be at least 1" in err
 
 
 def test_stdin_dash(capsys, monkeypatch):

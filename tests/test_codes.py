@@ -1,6 +1,7 @@
 """Parsing, validation, serialization and canonical forms."""
 
 import random
+import sys
 
 import pytest
 
@@ -83,6 +84,19 @@ def test_parse_rejects(text, fragment):
 def test_constructor_rejects_non_units(units):
     with pytest.raises(GaussCodeError, match="not a Unit"):
         GaussCode(units)
+
+
+# int() refuses text of more than 4300 digits by default, where it has a limit.
+int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"
+)
+
+
+@int_digit_limit
+def test_parse_rejects_overlong_label():
+    long = "9" * 5000
+    with pytest.raises(GaussCodeError, match=r"label at offset 7 is too long \(5000 digits\)"):
+        parse_gauss(f"O1+U1+ O{long}+U{long}+")
 
 
 def test_unsigned_round_trip():

@@ -1,10 +1,12 @@
-"""Differential tests: the linear-time kernels against the quadratic ones.
+"""Differential tests: the fast kernels against the slower ones they replaced.
 
 The reference implementations below are the scans that the orbit pass,
-candidate elimination and the one-pass RII worklist replaced.  They are kept
-here as oracles: every rotation scored in full, every phase of every circle
-tried, the genus counted from the printable decomposition, and RII pairs
-cancelled one round at a time from the canonical base point.
+candidate elimination, the one-pass RII worklist and the one-regex parser
+replaced.  They are kept here as oracles: every rotation scored in full,
+every phase of every circle tried, the genus counted from the printable
+decomposition, RII pairs cancelled one round at a time from the canonical
+base point, and text scanned unit by unit.  Codes derived from a valid code
+without re-validation are compared with the validated build of their units.
 """
 
 import random
@@ -17,18 +19,28 @@ from gaussgenus import (
     POSITIVE,
     UNDER,
     GaussCode,
+    GaussCodeError,
     Unit,
+    bridge_replace,
     canonical_form,
     chord_removal_drops_genus,
     cycles,
     enumerate_bridges,
+    flip_passes,
     genus,
     parse_gauss,
     remove_chords,
     rii_reduce,
     strictly_decreases,
 )
-from gaussgenus.codes import _SIGN_RANK, canonical_rotation, unit_order_key
+from gaussgenus import moves
+from gaussgenus.codes import (
+    _CHAR_SIGN,
+    _SIGN_RANK,
+    _UNIT_RE,
+    canonical_rotation,
+    unit_order_key,
+)
 from gaussgenus.cycles import sigma_orbit
 from helpers import (
     EIGHT_20,
@@ -139,6 +151,34 @@ def reference_rii_reduce(code):
         m = len(code.units)
         i, a, b = min(candidates, key=lambda c: (c[0] - shift) % m)
         code = remove_chords(code, (a, b))
+
+
+def reference_parse_gauss(text):
+    """Scan the text unit by unit, skipping whitespace between units."""
+    units = []
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        m = _UNIT_RE.match(text, i)
+        if not m:
+            snippet = text[i : i + 8]
+            raise GaussCodeError(f"malformed unit at offset {i}: {snippet!r}")
+        kind, digits, sign = m.groups()
+        units.append(Unit(kind, int(digits), _CHAR_SIGN[sign]))
+        i = m.end()
+    return GaussCode(units)
+
+
+def assert_as_validated(derived):
+    """A code built without checks equals the validated build of its units."""
+    validated = GaussCode(derived.units)
+    assert type(derived.units) is tuple, derived
+    assert derived.partner == validated.partner, derived
+    # Key order too: nothing may tell a derived code from a validated one.
+    assert list(derived._label_pos.items()) == list(validated._label_pos.items()), derived
+    assert derived.signed is validated.signed, derived
 
 
 # -- corpus ------------------------------------------------------------------
@@ -298,7 +338,106 @@ def test_rii_reduce_matches_round_by_round(corpus):
         assert ours.n == theirs.n, code
         assert canonical_form(ours) == canonical_form(theirs), code
         assert not _cancellable_pairs(ours), code
+        assert_as_validated(ours)
         if not _cancellable_pairs(code):
             assert ours is code
         cancelled += code.n - ours.n
     assert cancelled > 0  # every corpus exercises cancellation
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_derived_codes_match_validated_build(corpus):
+    rng = random.Random(len(corpus) + 1)
+    unsigned = 0
+    for code in CORPORA[corpus]():
+        labels = sorted(code.labels)
+        some = rng.sample(labels, rng.randint(0, len(labels)))
+        for derived in (
+            remove_chords(code, some),
+            remove_chords(code, labels),
+            canonical_form(code),
+            code.rotated(rng.randrange(max(len(code), 1))),
+            flip_passes(code),
+        ):
+            assert_as_validated(derived)
+        if code.signed:
+            assert_as_validated(rii_reduce(code))
+        unsigned += code.n > 0 and not code.signed
+    if corpus == "random":
+        assert unsigned > 0  # deleting every chord of these makes a signed code
+
+
+def test_open_diagram_matches_validated_build(monkeypatch):
+    opened = []
+    real_checked = moves._checked
+
+    def spy(code, trimmed, outcome):
+        opened.append(trimmed)
+        return real_checked(code, trimmed, outcome)
+
+    monkeypatch.setattr(moves, "_checked", spy)
+    replaced = 0
+    for corpus in sorted(CORPORA):
+        for code in CORPORA[corpus]():
+            if not code.signed or code.n > 12:
+                continue
+            for bridge in enumerate_bridges(code):
+                bridge_replace(code, bridge)
+                trimmed = opened.pop()
+                assert_as_validated(trimmed)
+                assert trimmed == remove_chords(code, bridge.labels)
+                replaced += 1
+    assert replaced > 1000
+
+
+_SPACES = " \t\n\x1c\u00a0\u2003\u3000"
+# Letters, digits (also non-ASCII: Arabic-Indic three, fullwidth one, and a
+# superscript two that is no decimal digit), signs, spaces and junk.
+_FUZZ_CHARS = "OU0123456789+-?" + _SPACES + "\u0663\uff11\u00b2xo|"
+# Labels written in Arabic-Indic or fullwidth digits.
+_OTHER_DIGITS = [
+    str.maketrans("0123456789", "".join(chr(zero + d) for d in range(10)))
+    for zero in (0x660, 0xFF10)
+]
+
+
+def _fuzz_texts():
+    rng = random.Random(31337)
+    out = []
+    for _ in range(2000):
+        if rng.random() < 0.2:
+            out.append("".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randint(0, 12))))
+            continue
+        code = random_code(rng, rng.randint(0, 6), signed=rng.random() < 0.8)
+        text = code.serialize()
+        if rng.random() < 0.1:
+            text = text.translate(rng.choice(_OTHER_DIGITS))
+        chars = list(text)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(chars))
+            edit = rng.random()
+            if edit < 0.4:
+                chars.insert(at, rng.choice(_SPACES))
+            elif at < len(chars) and edit < 0.7:
+                chars[at] = rng.choice(_FUZZ_CHARS)
+            elif at < len(chars):
+                del chars[at]
+        out.append("".join(chars))
+    return out
+
+
+def _parsed(parse, text):
+    try:
+        code = parse(text)
+    except GaussCodeError as exc:
+        return ("error", str(exc))
+    return ("code", code.units, code.partner, list(code._label_pos.items()), code.signed)
+
+
+def test_parse_gauss_matches_unit_scan():
+    outcomes = {"code": 0, "error": 0}
+    for text in _fuzz_texts():
+        ours = _parsed(parse_gauss, text)
+        assert ours == _parsed(reference_parse_gauss, text), repr(text)
+        outcomes[ours[0]] += 1
+    assert min(outcomes.values()) > 500, outcomes
