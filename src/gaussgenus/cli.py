@@ -152,7 +152,6 @@ def _cmd_import_dt(args) -> list[dict]:
 def _search_config(args) -> SearchConfig:
     try:
         return SearchConfig(
-            strategy="breadth_first" if args.strategy == "bfs" else "greedy",
             max_depth=args.depth,
             beam_width=args.beam,
             min_bridge_len=args.min_len,
@@ -195,7 +194,8 @@ def _cmd_batch(args) -> list[dict]:
         text = sys.stdin.read()
     else:
         try:
-            with open(args.file, encoding="utf-8") as fh:
+            # Decoded as stdin is, so a bad byte fails only its own line.
+            with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:
                 text = fh.read()
         except OSError as exc:
             raise GaussCodeError(f"cannot read batch file: {exc}") from None
@@ -285,7 +285,6 @@ def _emit(rep: dict, fmt: str) -> None:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=("greedy", "bfs"), default="greedy")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--beam", type=int, default=None)
     p.add_argument("--min-len", dest="min_len", type=int, default=2)

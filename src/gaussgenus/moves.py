@@ -25,7 +25,8 @@ from .codes import (
 # ``canonical_rotation`` and ``cycles`` are unused here but stay bound:
 # benchmarks/tracing.py rebinds them.
 from .codes import canonical_rotation  # noqa: F401
-from .cycles import _circles, cycles, genus, remove_chords, sigma_orbit  # noqa: F401
+from .cycles import cycles  # noqa: F401
+from .cycles import _circles, _genus_from_circles, genus, remove_chords, sigma_orbit
 
 _KIND_ALIASES = {
     "O": OVER,
@@ -132,10 +133,13 @@ def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:
     passes are traversed by the same Seifert circle (a bypass exists).
     """
     _require_bridge(code, bridge)
-    m = len(code.units)
-    owner = _circles(code)[0]
-    # The arc after position i is traversed by the circle through i+1, so
+    return _bypass(_circles(code)[0], bridge)
+
+
+def _bypass(owner: list[int], bridge: Bridge) -> bool:
+    # The arc after position i is traversed by circle ``owner[i + 1]``, so
     # these positions stand for the k+1 arcs around the bridge.
+    m = len(owner)
     ends = [bridge.positions[0], *((p + 1) % m for p in bridge.positions)]
     return len({owner[x] for x in ends}) < len(ends)
 
@@ -178,23 +182,16 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     bottom = UNDER if top == OVER else OVER
     doomed = frozenset(bridge.labels)
     removed = tuple(sorted(doomed))
-    strict = strictly_decreases(code, bridge)
+    owner, s = _circles(code)
+    strict = _bypass(owner, bridge)
     kept = [i for i in range(m) if code.units[i].label not in doomed]
     trimmed = _restrict(code, kept)
-    if not kept:
-        return _checked(
-            code,
-            trimmed,
-            MoveOutcome(
-                result=trimmed,
-                removed_labels=removed,
-                anchor=None,
-                guide=(),
-                pattern_labels=(),
-                inserted_labels=(),
-                strict_decrease_predicted=strict,
-            ),
+    if not kept:  # the bridge held every crossing: the result is the unknot
+        unknot = MoveOutcome(
+            trimmed, removed, anchor=None, guide=(), pattern_labels=(), inserted_labels=(),
+            strict_decrease_predicted=strict,
         )
+        return _checked(code, s, trimmed, unknot)
 
     # Anchor X: first unit at or cyclically left of the one just before the
     # bridge that names no bridge crossing.
@@ -252,6 +249,7 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
 
     return _checked(
         code,
+        s,
         trimmed,
         MoveOutcome(
             result=result,
@@ -271,11 +269,11 @@ def _broken(message: str, code: GaussCode, labels) -> InternalInvariantError:
     return InternalInvariantError(f"{message} (input {code.serialize()}, bridge {pretty})")
 
 
-def _checked(code: GaussCode, trimmed: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
-    # ``trimmed`` is the open diagram: ``code`` without the bridge crossings.
+def _checked(code: GaussCode, s: int, trimmed: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
+    # ``s`` counts the circles of ``code``; ``trimmed`` is its open diagram.
     labels = outcome.removed_labels
     try:
-        g_before = genus(code)
+        g_before = _genus_from_circles(code, s)
         g_after = genus(outcome.result)
         g_open = genus(trimmed)
     except InternalInvariantError as exc:

@@ -2,9 +2,9 @@
 
 Nodes of the move graph are canonical forms; children apply one bridge
 replacement (both kinds, maximal bridges of at least ``min_bridge_len``
-passes) followed by RII reduction.  Exploration is deterministic: frontiers
-and tie-breaks order nodes by (genus, crossing count, canonical
-serialization), so results do not depend on evaluation order.
+passes) followed by RII reduction.  One beam search expands them depth by
+depth.  Frontiers and tie-breaks order nodes by (genus, crossing count,
+canonical serialization), so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -15,21 +15,18 @@ from .codes import GaussCode, GaussCodeError, canonical_form
 from .cycles import genus
 from .moves import bridge_replace, enumerate_bridges, rii_reduce, strictly_decreases
 
-_STRATEGIES = ("greedy", "breadth_first")
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    strategy: str = "greedy"
+    """Each depth keeps its ``beam_width`` best new nodes; None keeps all (exhaustive)."""
+
     max_depth: int = 5
-    beam_width: int | None = None  # None: unlimited
+    beam_width: int | None = None
     min_bridge_len: int = 2
     apply_rii: bool = True
     only_strict: bool = False
 
     def __post_init__(self):
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         if self.beam_width is not None and self.beam_width < 1:
@@ -121,10 +118,7 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
         if not fresh:
             break
         fresh.sort(key=lambda k: nodes[k].order_key(k))
-        if config.strategy == "greedy" and config.beam_width is not None:
-            frontier = fresh[: config.beam_width]
-        else:
-            frontier = fresh
+        frontier = fresh[: config.beam_width]
 
     best_key = min(nodes, key=lambda k: nodes[k].order_key(k))
     trace: list[SearchStep] = []

@@ -154,7 +154,7 @@ def test_criterion_6_dt_fixtures():
 
 def test_criterion_7_search():
     code = parse_gauss(EIGHT_20)
-    config = SearchConfig(strategy="greedy", max_depth=1)
+    config = SearchConfig(max_depth=1)
     first = search(code, config)
     repeat = search(code, config)
     with ThreadPoolExecutor(max_workers=4) as pool:

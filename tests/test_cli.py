@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gaussgenus import canonical_form, parse_gauss
+from gaussgenus import SearchConfig, canonical_form, parse_gauss, search
 from gaussgenus.cli import main
 from helpers import DT_GENUS3, DT_GENUS5_MISPRINT, EIGHT_20, EIGHT_20_MOVED_45, RII_PAIR, TREFOIL
 
@@ -133,6 +133,44 @@ def test_search_json_round_trips(capsys):
     assert parse_gauss(report["code"]).n == report["n"]
 
 
+def test_search_beam_one_expands_one_node_per_depth(capsys):
+    status, out, _ = run(capsys, "search", EIGHT_20, "--beam", "1", "--depth", "2")
+    assert status == 0
+    assert " nodes=2 " in out.splitlines()[1]
+
+
+def test_search_strategy_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", EIGHT_20, "--strategy", "bfs"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+
+
+def _json_search(capsys, *flags) -> dict:
+    status, out, _ = run(capsys, "search", EIGHT_20, "--depth", "2", "--format", "json", *flags)
+    assert status == 0
+    return json.loads(out)
+
+
+def test_search_no_rii_keeps_every_crossing(capsys):
+    report = _json_search(capsys, "--no-rii")
+    n = parse_gauss(EIGHT_20).n
+    assert report["trace"]
+    for step in report["trace"]:
+        assert step["rii_cancelled"] == 0
+        assert step["crossings"] == n - len(step["bridge"]) + 2 * len(step["patterns"])
+        n = step["crossings"]
+
+
+def test_search_strict_only_takes_strict_moves(capsys):
+    report = _json_search(capsys, "--strict-only")
+    expected = search(parse_gauss(EIGHT_20), SearchConfig(max_depth=2, only_strict=True))
+    assert report["nodes_expanded"] == expected.nodes_expanded
+    assert report["nodes_expanded"] != _json_search(capsys)["nodes_expanded"]
+    genera = [3] + [step["genus"] for step in report["trace"]]
+    assert all(a > b for a, b in zip(genera, genera[1:]))
+
+
 def test_batch_genus(tmp_path, capsys):
     batch = tmp_path / "codes.txt"
     batch.write_text(f"# header\n{TREFOIL}\n\n{RII_PAIR}\nNONSENSE\n", encoding="utf-8")
@@ -140,6 +178,18 @@ def test_batch_genus(tmp_path, capsys):
     assert status == 1  # one line failed
     lines = out.splitlines()
     assert lines == ["n=3 s=2 g=1", "n=2 s=1 g=1", "error: malformed unit at offset 0: 'NONSENSE'"]
+
+
+def test_batch_file_with_bytes_that_are_not_utf8(tmp_path, capsys):
+    # The file is decoded as stdin is: the bad line fails, the others run.
+    batch = tmp_path / "codes.txt"
+    batch.write_bytes(b"O1-U1-\n\xff\xfe\n")
+    status, out, _ = run(capsys, "batch", str(batch), "--op", "genus")
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[0] == "n=1 s=2 g=0"
+    assert lines[1].startswith("error: malformed unit at offset 0: ")
+    assert len(lines) == 2
 
 
 def test_batch_json_reports_per_line(tmp_path, capsys):

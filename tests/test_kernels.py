@@ -371,9 +371,9 @@ def test_open_diagram_matches_validated_build(monkeypatch):
     opened = []
     real_checked = moves._checked
 
-    def spy(code, trimmed, outcome):
+    def spy(code, s, trimmed, outcome):
         opened.append(trimmed)
-        return real_checked(code, trimmed, outcome)
+        return real_checked(code, s, trimmed, outcome)
 
     monkeypatch.setattr(moves, "_checked", spy)
     replaced = 0

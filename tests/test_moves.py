@@ -170,6 +170,25 @@ def test_replace_self_check_names_input_and_bridge(monkeypatch):
     assert f"(input {EIGHT_20}, bridge 4,5)" in str(err.value)
 
 
+def test_replace_parity_failure_names_input_and_bridge(monkeypatch):
+    # The parent's circle count, shared by the bypass test and the
+    # self-check, breaks parity: the move reports the code and the bridge.
+    from gaussgenus import InternalInvariantError
+    from gaussgenus import moves as moves_module
+
+    real_circles = moves_module._circles
+
+    def broken(c):
+        owner, s = real_circles(c)
+        return owner, s + 1
+
+    code = parse_gauss(EIGHT_20)
+    monkeypatch.setattr(moves_module, "_circles", broken)
+    with pytest.raises(InternalInvariantError, match="n \\+ s must be odd") as err:
+        bridge_replace(code, find_bridge(code, (4, 5)))
+    assert f"(input {EIGHT_20}, bridge 4,5)" in str(err.value)
+
+
 def test_replace_genus_contract_random():
     rng = random.Random(911)
     for _ in range(250):

@@ -20,16 +20,20 @@ EIGHT = parse_gauss(EIGHT_20)
 
 
 def test_eight_20_greedy_depth_one():
-    result = search(EIGHT, SearchConfig(strategy="greedy", max_depth=1))
+    result = search(EIGHT, SearchConfig(max_depth=1))
     assert result.best_genus == 2
     assert result.nodes_expanded == 1
     assert len(result.move_trace) == 1
     assert result.move_trace[0].genus_after == 2
 
 
-def test_eight_20_bfs_matches_greedy_at_depth_one():
-    bfs = search(EIGHT, SearchConfig(strategy="breadth_first", max_depth=1))
-    assert bfs.best_genus == 2
+def test_unbounded_beam_is_exhaustive():
+    # No beam keeps every new node, as a beam wider than any frontier does.
+    rng = random.Random(8)
+    for code in [EIGHT, *(random_code(rng, rng.randint(3, 8)) for _ in range(6))]:
+        for depth in (1, 2, 3):
+            wide = search(code, SearchConfig(max_depth=depth, beam_width=10**6))
+            assert search(code, SearchConfig(max_depth=depth)) == wide
 
 
 def test_trefoil_is_already_optimal():
@@ -54,8 +58,8 @@ def test_config_validation():
         SearchConfig(max_depth=0)
     with pytest.raises(ValueError):
         SearchConfig(beam_width=0)
-    with pytest.raises(ValueError):
-        SearchConfig(strategy="dfs")
+    with pytest.raises(TypeError):  # one beam search; there is no strategy to pick
+        SearchConfig(strategy="greedy")
 
 
 def test_trace_genus_is_non_increasing():
@@ -121,3 +125,17 @@ def test_search_never_worsens_random_codes():
         result = search(code, SearchConfig(max_depth=2))
         assert result.best_genus <= genus(code)
         assert genus(result.best_code) == result.best_genus
+
+
+def test_without_rii_each_step_keeps_every_crossing():
+    rng = random.Random(64)
+    steps = 0
+    for code in [EIGHT, *(random_code(rng, rng.randint(2, 9)) for _ in range(40))]:
+        result = search(code, SearchConfig(max_depth=3, beam_width=3, apply_rii=False))
+        n = code.n
+        for step in result.move_trace:
+            assert step.rii_cancelled == 0
+            assert step.crossings_after == n - len(step.bridge_labels) + 2 * len(step.pattern_labels)
+            n = step.crossings_after
+            steps += 1
+    assert steps > 40
