@@ -24,8 +24,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _read_source(path: str) -> str:
+    # Stdin for "-", else a file; bytes that are not UTF-8 fail only their line.
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data.decode("utf-8", "surrogateescape")
+
+
 def _read_text(value: str) -> str:
-    return sys.stdin.read() if value == "-" else value
+    return _read_source(value) if value == "-" else value
 
 
 def _read_code(value: str) -> GaussCode:
@@ -83,13 +93,14 @@ def _cmd_cycles(args) -> list[dict]:
 
 def _cmd_bridges(args) -> list[dict]:
     code = _read_code(args.code)
+    owner = _circles(code)[0]  # one circle pass serves every bridge
     found = [
         {
             "kind": "over" if b.kind == "O" else "under",
             "labels": list(b.labels),
             "start": b.positions[0],
             "length": len(b),
-            "strict": moves.strictly_decreases(code, b),
+            "strict": moves._bypass(owner, b),
         }
         for b in moves.enumerate_bridges(code, args.kind, args.min_len)
     ]
@@ -190,15 +201,10 @@ def _cmd_search(args) -> list[dict]:
 
 
 def _cmd_batch(args) -> list[dict]:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            # Decoded as stdin is, so a bad byte fails only its own line.
-            with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise GaussCodeError(f"cannot read batch file: {exc}") from None
+    try:
+        text = _read_source(args.file)
+    except OSError as exc:
+        raise GaussCodeError(f"cannot read batch file: {exc}") from None
     config = _search_config(args) if args.op_name == "search" else None
     reports = []
     for line in text.splitlines():

@@ -75,11 +75,12 @@ class GaussCode:
             for i, u in enumerate(units):
                 if u.kind not in (OVER, UNDER):
                     raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
-                if u.label < 1:
-                    raise GaussCodeError(f"label {u.label} at position {i} (labels start at 1)")
+                label = u.label
+                if label < 1 or type(label) is not int:  # 1.0 and True print apart
+                    raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
                 if u.sign not in _SIGN_CHAR:
                     raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
-                label_pos.setdefault(u.label, []).append(i)
+                label_pos.setdefault(label, []).append(i)
         except (AttributeError, TypeError):
             # Plain tuples and other foreign objects lack the Unit fields or
             # carry fields of the wrong type.

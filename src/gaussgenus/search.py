@@ -1,9 +1,10 @@
 """Genus minimization by iterated bridge replacement and RII cleanup.
 
-Nodes of the move graph are canonical forms; children apply one bridge
-replacement (both kinds, maximal bridges of at least ``min_bridge_len``
-passes) followed by RII reduction.  One beam search expands them depth by
-depth.  Frontiers and tie-breaks order nodes by (genus, crossing count,
+Nodes of the move graph are canonical forms, keyed by the code itself, so a
+duplicate child is dropped before it is serialized.  Children apply one
+bridge replacement (both kinds, maximal bridges of at least
+``min_bridge_len`` passes) followed by RII reduction.  One beam search
+expands them depth by depth, ordering nodes by (genus, crossing count,
 canonical serialization), so results do not depend on evaluation order.
 """
 
@@ -58,13 +59,17 @@ class SearchResult:
 
 @dataclass
 class _Node:
-    code: GaussCode
+    code: GaussCode  # a canonical form; the key of its node
     genus: int
-    parent: str | None
+    parent: _Node | None
     step: SearchStep | None = None
 
-    def order_key(self, key: str) -> tuple[int, int, str]:
-        return (self.genus, self.code.n, key)
+    def __post_init__(self):
+        # Built once per node, so a duplicate child is never serialized.
+        self.order = (self.genus, self.code.n, self.code.serialize())
+
+    def __lt__(self, other: _Node) -> bool:
+        return self.order < other.order
 
 
 def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
@@ -79,16 +84,15 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
         raise GaussCodeError("search requires a fully signed code")
 
     root = canonical_form(code)
-    root_key = root.serialize()
-    nodes: dict[str, _Node] = {root_key: _Node(root, genus(root), parent=None)}
-    frontier = [root_key]
+    start = _Node(root, genus(root), parent=None)
+    nodes: dict[GaussCode, _Node] = {root: start}
+    frontier = [start]
     expanded = 0
     pruned = 0
 
     for _ in range(config.max_depth):
-        fresh: list[str] = []
-        for key in sorted(frontier, key=lambda k: nodes[k].order_key(k)):
-            node = nodes[key]
+        fresh: list[_Node] = []
+        for node in frontier:
             expanded += 1
             for bridge in enumerate_bridges(node.code, "both", config.min_bridge_len):
                 if config.only_strict and not strictly_decreases(node.code, bridge):
@@ -101,8 +105,7 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
                     cancelled = (child.n - reduced.n) // 2
                     child = reduced
                 child = canonical_form(child)
-                child_key = child.serialize()
-                if child_key in nodes:
+                if child in nodes:
                     pruned += 1
                     continue
                 step = SearchStep(
@@ -113,25 +116,22 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
                     genus_after=genus(child),
                     crossings_after=child.n,
                 )
-                nodes[child_key] = _Node(child, step.genus_after, parent=key, step=step)
-                fresh.append(child_key)
-        if not fresh:
-            break
-        fresh.sort(key=lambda k: nodes[k].order_key(k))
+                new = _Node(child, step.genus_after, parent=node, step=step)
+                nodes[child] = new
+                fresh.append(new)
+        fresh.sort()  # an empty frontier leaves the later depths idle
         frontier = fresh[: config.beam_width]
 
-    best_key = min(nodes, key=lambda k: nodes[k].order_key(k))
+    best = min(nodes.values())
     trace: list[SearchStep] = []
-    key: str | None = best_key
-    while key is not None:
-        node = nodes[key]
-        if node.step is not None:
-            trace.append(node.step)
-        key = node.parent
+    node = best
+    while node.parent is not None:
+        trace.append(node.step)
+        node = node.parent
     trace.reverse()
     return SearchResult(
-        best_code=nodes[best_key].code,
-        best_genus=nodes[best_key].genus,
+        best_code=best.code,
+        best_genus=best.genus,
         move_trace=tuple(trace),
         nodes_expanded=expanded,
         duplicates_pruned=pruned,

@@ -1,20 +1,43 @@
 """Command-line interface: formats, exit codes, batch processing."""
 
+import importlib
 import io
 import json
+import random
 import sys
 
 import pytest
 
-from gaussgenus import SearchConfig, canonical_form, parse_gauss, search
+from gaussgenus import (
+    SearchConfig,
+    canonical_form,
+    enumerate_bridges,
+    parse_gauss,
+    search,
+    strictly_decreases,
+)
+from gaussgenus import cli, moves
 from gaussgenus.cli import main
-from helpers import DT_GENUS3, DT_GENUS5_MISPRINT, EIGHT_20, EIGHT_20_MOVED_45, RII_PAIR, TREFOIL
+from helpers import (
+    DT_GENUS3,
+    DT_GENUS5_MISPRINT,
+    EIGHT_20,
+    EIGHT_20_MOVED_45,
+    RII_PAIR,
+    TREFOIL,
+    random_code,
+)
 
 
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def bytes_stdin(data: bytes):
+    """A stdin double over raw bytes whose text layer decodes strictly."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
 
 
 def test_genus_text(capsys):
@@ -64,6 +87,28 @@ def test_bridges_text(capsys):
         "over labels=4,5 start=3 len=2 strict=yes",
         "over labels=2,6 start=10 len=2 strict=no",
     ]
+
+
+def test_bridges_make_one_circle_pass_per_code(capsys, monkeypatch):
+    cycles_module = importlib.import_module("gaussgenus.cycles")  # not the function
+    circles = cycles_module._circles
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return circles(code)
+
+    for module in (cli, cycles_module, moves):
+        monkeypatch.setattr(module, "_circles", counted)
+    rng = random.Random(99)
+    for code in [parse_gauss(EIGHT_20)] + [random_code(rng, n) for n in (0, 1, 5, 20, 60)]:
+        calls.clear()
+        status, out, _ = run(capsys, "--format", "json", "bridges", code.serialize())
+        assert status == 0
+        assert len(calls) == 1
+        found = json.loads(out)["bridges"]
+        expected = [strictly_decreases(code, b) for b in enumerate_bridges(code)]
+        assert [b["strict"] for b in found] == expected
 
 
 def test_move_prints_replacement(capsys):
@@ -192,6 +237,23 @@ def test_batch_file_with_bytes_that_are_not_utf8(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_stdin_with_bytes_that_are_not_utf8(capsys, monkeypatch):
+    # Stdin is read as bytes and decoded as batch files are, whatever the
+    # error handler of its text layer.
+    monkeypatch.setattr("sys.stdin", bytes_stdin(b"O1-U1-\n\xff\xfe\n"))
+    status, out, _ = run(capsys, "batch", "-", "--op", "genus")
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[0] == "n=1 s=2 g=0"
+    assert lines[1].startswith("error: malformed unit at offset 0: ")
+    assert len(lines) == 2
+    monkeypatch.setattr("sys.stdin", bytes_stdin(b"O1-U1-\xff\n"))
+    status, out, err = run(capsys, "genus", "-")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("gaussgenus: malformed unit at offset 6: ")
+
+
 def test_batch_json_reports_per_line(tmp_path, capsys):
     batch = tmp_path / "codes.txt"
     batch.write_text(f"{TREFOIL}\n{EIGHT_20}\n", encoding="utf-8")
@@ -245,7 +307,7 @@ def test_overlong_label_is_invalid_input(tmp_path, capsys):
     ],
 )
 def test_out_of_range_search_flags_exit_one(capsys, monkeypatch, argv):
-    monkeypatch.setattr("sys.stdin", io.StringIO(TREFOIL + "\n"))
+    monkeypatch.setattr("sys.stdin", bytes_stdin(TREFOIL.encode() + b"\n"))
     status, out, err = run(capsys, *argv)
     assert status == 1
     assert out == ""
@@ -253,7 +315,7 @@ def test_out_of_range_search_flags_exit_one(capsys, monkeypatch, argv):
 
 
 def test_stdin_dash(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(TREFOIL + "\n"))
+    monkeypatch.setattr("sys.stdin", bytes_stdin(TREFOIL.encode() + b"\n"))
     status, out, _ = run(capsys, "genus", "-")
     assert status == 0
     assert out == "n=3 s=2 g=1\n"

@@ -86,6 +86,19 @@ def test_constructor_rejects_non_units(units):
         GaussCode(units)
 
 
+@pytest.mark.parametrize(
+    "units, position",
+    [
+        ([Unit(OVER, 1.0, 1), Unit(UNDER, 1.0, 1)], 0),  # would print as O1.0+U1.0+
+        ([Unit(OVER, 1, 1), Unit(UNDER, 1.0, 1)], 1),
+        ([Unit(OVER, True, 1), Unit(UNDER, True, 1)], 0),  # would equal O1+U1+
+    ],
+)
+def test_constructor_rejects_labels_that_are_not_ints(units, position):
+    with pytest.raises(GaussCodeError, match=rf"at position {position} \(ints from 1\)"):
+        GaussCode(units)
+
+
 # int() refuses text of more than 4300 digits by default, where it has a limit.
 int_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"

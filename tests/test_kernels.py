@@ -5,10 +5,13 @@ candidate elimination, the one-pass RII worklist and the one-regex parser
 replaced.  They are kept here as oracles: every rotation scored in full,
 every phase of every circle tried, the genus counted from the printable
 decomposition, RII pairs cancelled one round at a time from the canonical
-base point, and text scanned unit by unit.  Codes derived from a valid code
-without re-validation are compared with the validated build of their units.
+base point, text scanned unit by unit, and search nodes keyed by their
+serialization with every frontier re-sorted.  Codes derived from a valid
+code without re-validation are compared with the validated build of their
+units.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +23,9 @@ from gaussgenus import (
     UNDER,
     GaussCode,
     GaussCodeError,
+    SearchConfig,
+    SearchResult,
+    SearchStep,
     Unit,
     bridge_replace,
     canonical_form,
@@ -31,6 +37,7 @@ from gaussgenus import (
     parse_gauss,
     remove_chords,
     rii_reduce,
+    search,
     strictly_decreases,
 )
 from gaussgenus import moves
@@ -169,6 +176,59 @@ def reference_parse_gauss(text):
         units.append(Unit(kind, int(digits), _CHAR_SIGN[sign]))
         i = m.end()
     return GaussCode(units)
+
+
+def reference_search(code, config):
+    """Nodes keyed by their canonical serialization; every child is
+    serialized before the duplicate test, and each frontier is re-sorted."""
+    root = canonical_form(code)
+    root_key = root.serialize()
+    nodes = {root_key: (root, genus(root), None, None)}  # code, genus, parent key, step
+
+    def order_key(key):
+        return (nodes[key][1], nodes[key][0].n, key)
+
+    frontier = [root_key]
+    expanded = pruned = 0
+    for _ in range(config.max_depth):
+        fresh = []
+        for key in sorted(frontier, key=order_key):
+            node_code = nodes[key][0]
+            expanded += 1
+            for bridge in enumerate_bridges(node_code, "both", config.min_bridge_len):
+                if config.only_strict and not strictly_decreases(node_code, bridge):
+                    continue
+                outcome = bridge_replace(node_code, bridge)
+                child = outcome.result
+                cancelled = 0
+                if config.apply_rii:
+                    reduced = rii_reduce(child)
+                    cancelled = (child.n - reduced.n) // 2
+                    child = reduced
+                child = canonical_form(child)
+                child_key = child.serialize()
+                if child_key in nodes:
+                    pruned += 1
+                    continue
+                step = SearchStep(
+                    bridge.kind, bridge.labels, outcome.pattern_labels, cancelled,
+                    genus(child), child.n,
+                )
+                nodes[child_key] = (child, step.genus_after, key, step)
+                fresh.append(child_key)
+        if not fresh:
+            break
+        fresh.sort(key=order_key)
+        frontier = fresh[: config.beam_width]
+    best_key = min(nodes, key=order_key)
+    trace = []
+    key = best_key
+    while nodes[key][2] is not None:
+        trace.append(nodes[key][3])
+        key = nodes[key][2]
+    trace.reverse()
+    best_code, best_genus = nodes[best_key][:2]
+    return SearchResult(best_code, best_genus, tuple(trace), expanded, pruned)
 
 
 def assert_as_validated(derived):
@@ -441,3 +501,30 @@ def test_parse_gauss_matches_unit_scan():
         assert ours == _parsed(reference_parse_gauss, text), repr(text)
         outcomes[ours[0]] += 1
     assert min(outcomes.values()) > 500, outcomes
+
+
+def _search_codes():
+    rng = random.Random(6765)
+    codes = [parse_gauss(EIGHT_20), random_code(rng, 4), random_code(rng, 6)]
+    return codes + [braid_knot_code(rng, max_strands=4, max_len=8) for _ in range(3)]
+
+
+_SEARCH_GRID = list(
+    itertools.product((None, 1, 3), (True, False), (True, False), (1, 2), (1, 2, 3))
+)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_search_matches_string_keyed_search(index):
+    code = _search_codes()[index]
+    for beam, rii, strict, min_len, depth in _SEARCH_GRID:
+        if code.n > 5 and beam is None and depth == 3:
+            continue  # slow; exhaustive depth 3 is covered on the smaller codes
+        config = SearchConfig(
+            max_depth=depth,
+            beam_width=beam,
+            min_bridge_len=min_len,
+            apply_rii=rii,
+            only_strict=strict,
+        )
+        assert search(code, config) == reference_search(code, config), (code, config)
