@@ -13,7 +13,7 @@ import sys
 from . import dt as dt_mod
 from . import moves
 from .codes import GaussCode, GaussCodeError, InternalInvariantError, parse_gauss
-from .cycles import _circles, _genus_from_circles, cycles, genus
+from .cycles import _circles, cycles, genus
 from .dt import DtCodeError
 from .search import SearchConfig, search as _run_search
 
@@ -64,8 +64,7 @@ def _ints(values) -> str:
 
 
 def _stats(code: GaussCode) -> dict:
-    s = _circles(code)[1]
-    return {"n": code.n, "s": s, "genus": _genus_from_circles(code, s)}
+    return {"n": code.n, "s": _circles(code)[1], "genus": genus(code)}
 
 
 def _cmd_validate(args) -> list[dict]:
@@ -93,14 +92,13 @@ def _cmd_cycles(args) -> list[dict]:
 
 def _cmd_bridges(args) -> list[dict]:
     code = _read_code(args.code)
-    owner = _circles(code)[0]  # one circle pass serves every bridge
     found = [
         {
             "kind": "over" if b.kind == "O" else "under",
             "labels": list(b.labels),
             "start": b.positions[0],
             "length": len(b),
-            "strict": moves._bypass(owner, b),
+            "strict": moves.strictly_decreases(code, b),
         }
         for b in moves.enumerate_bridges(code, args.kind, args.min_len)
     ]

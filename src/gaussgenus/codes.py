@@ -63,10 +63,11 @@ class GaussCode:
 
     The stored linearization is arbitrary; no basepoint is semantic.  Two
     codes are cyclically equivalent iff their :func:`canonical_form` values
-    compare equal.
+    compare equal.  Its Seifert circles are kept on it after their first use
+    (:func:`gaussgenus.cycles._circles`); a derived code starts without them.
     """
 
-    __slots__ = ("units", "partner", "signed", "_label_pos")
+    __slots__ = ("units", "partner", "signed", "_orbits")
 
     def __init__(self, units: Iterable[Unit]):
         units = tuple(units)
@@ -108,7 +109,7 @@ class GaussCode:
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "partner", tuple(partner))
         object.__setattr__(self, "signed", True not in unsigned_flags)
-        object.__setattr__(self, "_label_pos", {k: tuple(v) for k, v in label_pos.items()})
+        object.__setattr__(self, "_orbits", None)
 
     @classmethod
     def _derived(
@@ -124,13 +125,16 @@ class GaussCode:
         object.__setattr__(code, "units", units)
         object.__setattr__(code, "partner", partner)
         object.__setattr__(code, "signed", signed)
-        # First-occurrence order, as __init__ builds it.
-        label_pos = {units[i].label: (i, j) for i, j in enumerate(partner) if i < j}
-        object.__setattr__(code, "_label_pos", label_pos)
+        object.__setattr__(code, "_orbits", None)
         return code
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussCode is immutable")
+
+    def __reduce__(self):
+        # Pickles and copies rebuild through __init__, so unpickled data is
+        # validated like any outside input; the circle cache is not state.
+        return (GaussCode, (self.units,))
 
     # -- basic views ---------------------------------------------------
 
@@ -156,14 +160,14 @@ class GaussCode:
 
     @property
     def labels(self) -> frozenset[int]:
-        return frozenset(self._label_pos)
+        return frozenset(u.label for u in self.units)
 
     def positions_of(self, label: int) -> tuple[int, int]:
-        """The two positions at which ``label`` is visited."""
-        try:
-            return self._label_pos[label]
-        except KeyError:
-            raise GaussCodeError(f"unknown label {label}") from None
+        """The two positions at which ``label`` is visited, in order (O(m))."""
+        for i, u in enumerate(self.units):
+            if u.label == label:
+                return i, self.partner[i]
+        raise GaussCodeError(f"unknown label {label}")
 
     def successor(self, position: int) -> int:
         return (position + 1) % len(self.units)

@@ -47,16 +47,17 @@ def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
     return tuple(out)
 
 
-def _circles(code: GaussCode) -> tuple[list[int], int]:
+def _circles(code: GaussCode) -> tuple[tuple[int, ...], int]:
     """The circle index of every position, and the circle count s.
 
-    One pass over ``code.partner``.  Circles are numbered in the order of
-    their least position; :func:`cycles` lists them in that order.
+    The first call makes one pass over ``code.partner`` and keeps the result
+    on the code for every later question about it.  Circles are numbered in
+    the order of their least position; :func:`cycles` lists them that way.
     """
+    if code._orbits is not None:
+        return code._orbits
     partner = code.partner
     m = len(partner)
-    if m == 0:
-        return [], 1
     owner = [-1] * m
     s = 0
     for i in range(m):
@@ -69,18 +70,9 @@ def _circles(code: GaussCode) -> tuple[list[int], int]:
             if x == m:
                 x = 0
         s += 1
-    return owner, s
-
-
-def _genus_from_circles(code: GaussCode, s: int) -> int:
-    # The formula and its parity invariant, for callers that also need s.
-    doubled = code.n - s + 1
-    if doubled % 2 or doubled < 0:
-        raise InternalInvariantError(
-            f"impossible circle count s={s} for n={code.n} (n + s must be odd)"
-            f" in code {code.serialize()}"
-        )
-    return doubled // 2
+    orbits = (tuple(owner), s or 1)  # the bare unknot counts as one circle
+    object.__setattr__(code, "_orbits", orbits)
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,14 @@ def genus(code: GaussCode) -> int:
     Sign and pass data do not matter; only the chord pairing does.  Linear
     in the code length: counting circles builds no printable walks.
     """
-    return _genus_from_circles(code, _circles(code)[1])
+    s = _circles(code)[1]
+    doubled = code.n - s + 1
+    if doubled % 2 or doubled < 0:
+        raise InternalInvariantError(
+            f"impossible circle count s={s} for n={code.n} (n + s must be odd)"
+            f" in code {code.serialize()}"
+        )
+    return doubled // 2
 
 
 def remove_chords(code: GaussCode, labels) -> GaussCode:

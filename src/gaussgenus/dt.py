@@ -27,6 +27,8 @@ class DtCode:
     def __post_init__(self):
         problems = []
         for e in self.entries:
+            if type(e) is not int:  # 4.0 would print as text parse_dt rejects
+                raise DtCodeError(f"entry {e!r} is not an int")
             if e == 0:
                 raise DtCodeError("zero entry")
             if e % 2:

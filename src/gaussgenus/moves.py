@@ -26,7 +26,7 @@ from .codes import (
 # benchmarks/tracing.py rebinds them.
 from .codes import canonical_rotation  # noqa: F401
 from .cycles import cycles  # noqa: F401
-from .cycles import _circles, _genus_from_circles, genus, remove_chords, sigma_orbit
+from .cycles import _circles, genus, remove_chords, sigma_orbit
 
 _KIND_ALIASES = {
     "O": OVER,
@@ -136,7 +136,7 @@ def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:
     return _bypass(_circles(code)[0], bridge)
 
 
-def _bypass(owner: list[int], bridge: Bridge) -> bool:
+def _bypass(owner: tuple[int, ...], bridge: Bridge) -> bool:
     # The arc after position i is traversed by circle ``owner[i + 1]``, so
     # these positions stand for the k+1 arcs around the bridge.
     m = len(owner)
@@ -182,8 +182,7 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     bottom = UNDER if top == OVER else OVER
     doomed = frozenset(bridge.labels)
     removed = tuple(sorted(doomed))
-    owner, s = _circles(code)
-    strict = _bypass(owner, bridge)
+    strict = _bypass(_circles(code)[0], bridge)
     kept = [i for i in range(m) if code.units[i].label not in doomed]
     trimmed = _restrict(code, kept)
     if not kept:  # the bridge held every crossing: the result is the unknot
@@ -191,7 +190,7 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
             trimmed, removed, anchor=None, guide=(), pattern_labels=(), inserted_labels=(),
             strict_decrease_predicted=strict,
         )
-        return _checked(code, s, trimmed, unknot)
+        return _checked(code, trimmed, unknot)
 
     # Anchor X: first unit at or cyclically left of the one just before the
     # bridge that names no bridge crossing.
@@ -228,7 +227,7 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     if len({a for a, _, _ in patterns}) != k:
         raise _broken("pattern crossings are not pairwise distinct", code, removed)
 
-    base = max(code.labels)
+    base = max(u.label for u in code.units)
     block = [Unit(top, base + t, NEGATIVE if t % 2 else POSITIVE) for t in range(1, 2 * k + 1)]
     after: dict[int, Unit] = {}
     before: dict[int, Unit] = {}
@@ -249,7 +248,6 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
 
     return _checked(
         code,
-        s,
         trimmed,
         MoveOutcome(
             result=result,
@@ -269,11 +267,11 @@ def _broken(message: str, code: GaussCode, labels) -> InternalInvariantError:
     return InternalInvariantError(f"{message} (input {code.serialize()}, bridge {pretty})")
 
 
-def _checked(code: GaussCode, s: int, trimmed: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
-    # ``s`` counts the circles of ``code``; ``trimmed`` is its open diagram.
+def _checked(code: GaussCode, trimmed: GaussCode, outcome: MoveOutcome) -> MoveOutcome:
+    # ``trimmed`` is the open diagram of ``code``.
     labels = outcome.removed_labels
     try:
-        g_before = _genus_from_circles(code, s)
+        g_before = genus(code)
         g_after = genus(outcome.result)
         g_open = genus(trimmed)
     except InternalInvariantError as exc:

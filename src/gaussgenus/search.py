@@ -5,7 +5,10 @@ duplicate child is dropped before it is serialized.  Children apply one
 bridge replacement (both kinds, maximal bridges of at least
 ``min_bridge_len`` passes) followed by RII reduction.  One beam search
 expands them depth by depth, ordering nodes by (genus, crossing count,
-canonical serialization), so results do not depend on evaluation order.
+canonical serialization), so results do not depend on evaluation order, and
+stops at the first depth that adds no node.  A child's genus is read before
+canonicalization, where RII that cancels nothing leaves the circles
+``bridge_replace`` already counted.
 """
 
 from __future__ import annotations
@@ -98,13 +101,12 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
                 if config.only_strict and not strictly_decreases(node.code, bridge):
                     continue
                 outcome = bridge_replace(node.code, bridge)
-                child = outcome.result
+                reduced = outcome.result
                 cancelled = 0
                 if config.apply_rii:
-                    reduced = rii_reduce(child)
-                    cancelled = (child.n - reduced.n) // 2
-                    child = reduced
-                child = canonical_form(child)
+                    reduced = rii_reduce(reduced)
+                    cancelled = (outcome.result.n - reduced.n) // 2
+                child = canonical_form(reduced)
                 if child in nodes:
                     pruned += 1
                     continue
@@ -113,13 +115,15 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
                     bridge_labels=bridge.labels,
                     pattern_labels=outcome.pattern_labels,
                     rii_cancelled=cancelled,
-                    genus_after=genus(child),
+                    genus_after=genus(reduced),
                     crossings_after=child.n,
                 )
                 new = _Node(child, step.genus_after, parent=node, step=step)
                 nodes[child] = new
                 fresh.append(new)
-        fresh.sort()  # an empty frontier leaves the later depths idle
+        if not fresh:
+            break
+        fresh.sort()
         frontier = fresh[: config.beam_width]
 
     best = min(nodes.values())

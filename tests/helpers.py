@@ -13,6 +13,7 @@ from gaussgenus import (
     GaussCode,
     Unit,
 )
+from gaussgenus.cycles import _circles
 
 TREFOIL = "O1-U2-O3-U1-O2-U3-"
 TREFOIL_CYCLES = ("O1-U1-O2-U2-O3-U3-", "U1-O1-U2-O2-U3-O3-")
@@ -27,6 +28,19 @@ RII_PAIR = "O1+U2-U1+O2-"
 DT_GENUS3 = "-12 26 22 -14 28 -2 -20 30 -24 8 -32 -16 4 10 18 -6"
 DT_GENUS5_MISPRINT = "4 10 -26 -22 -18 2 20 -26 -32 -28 14 30 -6 -12 -8 24"
 DT_GENUS5 = "4 10 -26 -22 -18 2 20 -16 -32 -28 14 30 -6 -12 -8 24"
+
+
+def assert_as_validated(derived):
+    """A code built without checks equals the validated build of its units."""
+    validated = GaussCode(derived.units)
+    assert type(derived.units) is tuple, derived
+    assert derived.partner == validated.partner, derived
+    assert derived.labels == validated.labels, derived
+    for label in validated.labels:
+        assert derived.positions_of(label) == validated.positions_of(label), derived
+    assert derived.signed is validated.signed, derived
+    # A circle cache carried over from another code would show here.
+    assert _circles(derived) == _circles(validated), derived
 
 
 def random_code(rng, n, signed=True) -> GaussCode:

@@ -1,5 +1,7 @@
 """Parsing, validation, serialization and canonical forms."""
 
+import copy
+import pickle
 import random
 import sys
 
@@ -204,3 +206,22 @@ def test_code_is_immutable():
     code = parse_gauss(TREFOIL)
     with pytest.raises(AttributeError):
         code.units = ()
+
+
+def test_code_pickles_and_copies():
+    from gaussgenus import genus
+
+    code = parse_gauss(TREFOIL)
+    genus(code)  # fills the circle cache, which is not part of the state
+    for twin in (pickle.loads(pickle.dumps(code)), copy.copy(code), copy.deepcopy(code)):
+        assert twin == code
+        assert twin.partner == code.partner
+        assert twin.signed is code.signed
+        assert twin._orbits is None
+
+    class Forged:  # unpickles as GaussCode built from one lone unit
+        def __reduce__(self):
+            return (GaussCode, ((Unit(OVER, 1, NEGATIVE),),))
+
+    with pytest.raises(GaussCodeError, match="appears 1 time"):
+        pickle.loads(pickle.dumps(Forged()))

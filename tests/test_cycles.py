@@ -122,3 +122,15 @@ def test_parity_violation_names_the_code(monkeypatch):
     with pytest.raises(InternalInvariantError, match="n \\+ s must be odd") as err:
         genus(parse_gauss(TREFOIL))
     assert TREFOIL in str(err.value)
+
+
+def test_circles_are_computed_once_and_shared():
+    from gaussgenus.cycles import _circles
+
+    code = parse_gauss(EIGHT_20)
+    assert code._orbits is None
+    owner, s = _circles(code)
+    assert type(owner) is tuple  # shared, so it cannot be changed in place
+    assert _circles(code) is code._orbits
+    assert genus(code) == (code.n - s + 1) // 2
+    assert cycles(code).arc_owner == tuple(owner[(i + 1) % len(code)] for i in range(len(code)))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gaussgenus import (
+    DtCode,
     DtCodeError,
     dt_to_gauss,
     flip_passes,
@@ -72,3 +73,10 @@ def test_genus_does_not_depend_on_pass_convention():
         entries = [v * rng.choice((1, -1)) for v in rng.sample(range(2, 2 * n + 1, 2), n)]
         code = dt_to_gauss(parse_dt(" ".join(map(str, entries))))
         assert genus(code) == genus(flip_passes(code))
+
+
+@pytest.mark.parametrize("entries", [(4.0, 2.0), (True,), ("2",)])
+def test_entries_must_be_ints(entries):
+    # 4.0 would serialize as text that parse_dt rejects.
+    with pytest.raises(DtCodeError, match="is not an int"):
+        DtCode(entries)

@@ -171,19 +171,21 @@ def test_replace_self_check_names_input_and_bridge(monkeypatch):
 
 
 def test_replace_parity_failure_names_input_and_bridge(monkeypatch):
-    # The parent's circle count, shared by the bypass test and the
-    # self-check, breaks parity: the move reports the code and the bridge.
-    from gaussgenus import InternalInvariantError
-    from gaussgenus import moves as moves_module
+    # The parent's circle count, which the self-check reads through genus,
+    # breaks parity: the move reports the code and the bridge.
+    import sys
 
-    real_circles = moves_module._circles
+    from gaussgenus import InternalInvariantError
+
+    cycles_module = sys.modules["gaussgenus.cycles"]
+    real_circles = cycles_module._circles
 
     def broken(c):
         owner, s = real_circles(c)
         return owner, s + 1
 
     code = parse_gauss(EIGHT_20)
-    monkeypatch.setattr(moves_module, "_circles", broken)
+    monkeypatch.setattr(cycles_module, "_circles", broken)
     with pytest.raises(InternalInvariantError, match="n \\+ s must be odd") as err:
         bridge_replace(code, find_bridge(code, (4, 5)))
     assert f"(input {EIGHT_20}, bridge 4,5)" in str(err.value)
@@ -287,3 +289,34 @@ def test_rii_preserves_knot_type_on_realizable_codes():
     for _ in range(60):
         code = braid_knot_code(rng)
         assert knot_fingerprint(rii_reduce(code)) == knot_fingerprint(code)
+
+
+def test_moves_reuse_the_circle_pass_of_their_code(monkeypatch):
+    # Once genus has counted the circles of a code, neither the strictness
+    # test nor a replacement of any of its bridges walks that code again.
+    import sys
+
+    from gaussgenus import moves as moves_module
+
+    cycles_module = sys.modules["gaussgenus.cycles"]
+    real_circles = cycles_module._circles
+    walked = []
+
+    def counted(c):
+        if getattr(c, "_orbits", None) is None:
+            walked.append(c)
+        return real_circles(c)
+
+    for module in (cycles_module, moves_module):
+        monkeypatch.setattr(module, "_circles", counted)
+    rng = random.Random(4)
+    moved = 0
+    for code in [parse_gauss(EIGHT_20)] + [random_code(rng, n) for n in (1, 3, 7, 12, 20)]:
+        genus(code)
+        walked.clear()
+        for bridge in enumerate_bridges(code, "both", 1):
+            strictly_decreases(code, bridge)
+            bridge_replace(code, bridge)
+            moved += 1
+        assert not any(c is code for c in walked)
+    assert moved > 20

@@ -2,8 +2,8 @@
 
 A diagram is drawn as a pairing of 2n positions into n chords, with a pass
 letter per end, a sign per chord and shuffled labels; codes are signed or
-unsigned throughout.  Runs are derandomized, so every run checks the same
-examples.
+unsigned throughout, and signed where a move needs signs.  Runs are
+derandomized, so every run checks the same examples.
 """
 
 import pytest
@@ -21,24 +21,34 @@ from gaussgenus import (  # noqa: E402
     UNSIGNED,
     GaussCode,
     Unit,
+    bridge_replace,
     canonical_form,
     cycles,
+    enumerate_bridges,
+    flip_passes,
     genus,
     genus_oracle,
     parse_gauss,
+    remove_chords,
+    rii_reduce,
 )
+from helpers import assert_as_validated  # noqa: E402
 
 MAX_N = 30
+MOVE_MAX_N = 14
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# Each move example also runs the band-surface oracle, so fewer of them.
+derandomized_moves = settings(derandomized, max_examples=40)
 
 
 @st.composite
-def chord_diagrams(draw, max_n=MAX_N):
+def chord_diagrams(draw, max_n=MAX_N, signed=None):
     n = draw(st.integers(0, max_n))
     order = draw(st.permutations(range(2 * n)))
     labels = draw(st.permutations(range(1, n + 1)))
-    signed = draw(st.booleans())
+    if signed is None:
+        signed = draw(st.booleans())
     units = [None] * (2 * n)
     for c, label in enumerate(labels):
         over, under = order[2 * c], order[2 * c + 1]
@@ -106,3 +116,44 @@ def test_crossings_plus_circles_is_odd(code):
 @given(chord_diagrams())
 def test_genus_matches_band_surface_oracle(code):
     assert genus(code) == genus_oracle(code)
+
+
+@derandomized_moves
+@given(chord_diagrams(max_n=MOVE_MAX_N, signed=True), st.integers(0, 4 * MOVE_MAX_N))
+def test_replacement_genus_is_the_open_diagram_genus(code, pick):
+    bridges = enumerate_bridges(code, "both", 1)
+    if not bridges:
+        return
+    bridge = bridges[pick % len(bridges)]
+    outcome = bridge_replace(code, bridge)
+    # The oracle counts no circles, so this does not lean on the orbit pass.
+    g_after = genus_oracle(outcome.result)
+    g_before = genus_oracle(code)
+    assert g_after == genus_oracle(remove_chords(code, bridge.labels))
+    assert g_after <= g_before
+    assert outcome.strict_decrease_predicted == (g_after < g_before)
+
+
+@derandomized_moves
+@given(chord_diagrams(max_n=MOVE_MAX_N, signed=True))
+def test_rii_never_raises_genus_and_is_idempotent(code):
+    reduced = rii_reduce(code)
+    assert genus_oracle(reduced) <= genus_oracle(code)
+    assert rii_reduce(reduced) is reduced
+
+
+@derandomized_moves
+@given(chord_diagrams(max_n=MOVE_MAX_N), st.integers(0, 4 * MOVE_MAX_N), st.randoms())
+def test_derived_codes_equal_their_validated_build(code, offset, rng):
+    genus(code)  # a circle cache on the parent must not leak into a derived code
+    labels = sorted(code.labels)
+    derived = [
+        remove_chords(code, rng.sample(labels, rng.randint(0, len(labels)))),
+        canonical_form(code),
+        code.rotated(offset),
+        flip_passes(code),
+    ]
+    if code.signed:
+        derived.append(rii_reduce(code))
+    for d in derived:
+        assert_as_validated(d)

@@ -1,5 +1,6 @@
 """Move-sequence search: fixtures, determinism, monotonicity."""
 
+import dataclasses
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -139,3 +140,19 @@ def test_without_rii_each_step_keeps_every_crossing():
             n = step.crossings_after
             steps += 1
     assert steps > 40
+
+
+def test_search_stops_at_the_first_empty_depth():
+    # Every child of this code is the code again, so depth 1 adds no node and
+    # a depth bound far past any reachable depth must not be walked out.
+    code = parse_gauss("O1+U2+O2+U1+")
+    result = search(code, SearchConfig(max_depth=10**12))
+    assert result == search(code, SearchConfig(max_depth=1))
+    assert result.nodes_expanded == 1
+
+
+def test_result_converts_to_dict():
+    result = search(EIGHT, SearchConfig(max_depth=2))
+    as_dict = dataclasses.asdict(result)
+    assert as_dict["best_code"] == result.best_code
+    assert as_dict["move_trace"][0]["genus_after"] == result.move_trace[0].genus_after
