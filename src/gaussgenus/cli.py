@@ -2,6 +2,14 @@
 
 Exit status: 0 on success, 1 on invalid input (diagnostic names the violated
 invariant), 2 on an internal invariant violation (a bug, never expected).
+
+One path serves every subcommand.  :func:`main` reads each input (a batch
+file gives one per line) and :func:`_report` parses it once, with
+:func:`parse_gauss` or, for ``import-dt``, the DT import.  The handler of the
+subcommand (of ``--op`` in a batch) takes the code and returns only its own
+report fields; :func:`_report` puts ``op`` and ``input`` in front of them, or
+of the error that stopped it.  The argument parser is built by the first
+:func:`main` call and kept.
 """
 
 from __future__ import annotations
@@ -38,10 +46,6 @@ def _read_text(value: str) -> str:
     return _read_source(value) if value == "-" else value
 
 
-def _read_code(value: str) -> GaussCode:
-    return parse_gauss(_read_text(value))
-
-
 def _labels(value: str) -> tuple[int, ...]:
     try:
         labels = tuple(int(x) for x in value.split(",") if x.strip())
@@ -60,38 +64,26 @@ def _ints(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-# -- handlers (each returns a list of report dicts) ------------------------
+# -- handlers (each takes a parsed code and returns its own report fields) --
 
 
 def _stats(code: GaussCode) -> dict:
     return {"n": code.n, "s": _circles(code)[1], "genus": genus(code)}
 
 
-def _cmd_validate(args) -> list[dict]:
-    code = _read_code(args.code)
-    return [{"op": "validate", "input": args.code, "valid": True, "n": code.n, "signed": code.signed}]
+def _cmd_validate(code: GaussCode, args) -> dict:
+    return {"valid": True, "n": code.n, "signed": code.signed}
 
 
-def _cmd_genus(args) -> list[dict]:
-    code = _read_code(args.code)
-    return [{"op": "genus", "input": args.code, **_stats(code)}]
+def _cmd_genus(code: GaussCode, args) -> dict:
+    return _stats(code)
 
 
-def _cmd_cycles(args) -> list[dict]:
-    code = _read_code(args.code)
-    decomposition = cycles(code)
-    return [
-        {
-            "op": "cycles",
-            "input": args.code,
-            **_stats(code),
-            "cycles": [c.serialize() for c in decomposition.cycles],
-        }
-    ]
+def _cmd_cycles(code: GaussCode, args) -> dict:
+    return {**_stats(code), "cycles": [c.serialize() for c in cycles(code).cycles]}
 
 
-def _cmd_bridges(args) -> list[dict]:
-    code = _read_code(args.code)
+def _cmd_bridges(code: GaussCode, args) -> dict:
     found = [
         {
             "kind": "over" if b.kind == "O" else "under",
@@ -102,60 +94,38 @@ def _cmd_bridges(args) -> list[dict]:
         }
         for b in moves.enumerate_bridges(code, args.kind, args.min_len)
     ]
-    return [{"op": "bridges", "input": args.code, "n": code.n, "bridges": found}]
+    return {"n": code.n, "bridges": found}
 
 
-def _cmd_move(args) -> list[dict]:
-    code = _read_code(args.code)
+def _cmd_move(code: GaussCode, args) -> dict:
     bridge = moves.find_bridge(code, _labels(args.bridge))
     outcome = moves.bridge_replace(code, bridge)
-    return [
-        {
-            "op": "move",
-            "input": args.code,
-            "code": outcome.result.serialize(),
-            **_stats(outcome.result),
-            "genus_before": genus(code),
-            "anchor": str(outcome.anchor) if outcome.anchor else None,
-            "guide": outcome.guide_text(),
-            "patterns": list(outcome.pattern_labels),
-            "inserted": list(outcome.inserted_labels),
-            "removed": list(outcome.removed_labels),
-            "strict": outcome.strict_decrease_predicted,
-        }
-    ]
+    return {
+        "code": outcome.result.serialize(),
+        **_stats(outcome.result),
+        "genus_before": genus(code),
+        "anchor": str(outcome.anchor) if outcome.anchor else None,
+        "guide": outcome.guide_text(),
+        "patterns": list(outcome.pattern_labels),
+        "inserted": list(outcome.inserted_labels),
+        "removed": list(outcome.removed_labels),
+        "strict": outcome.strict_decrease_predicted,
+    }
 
 
-def _cmd_reduce(args) -> list[dict]:
-    code = _read_code(args.code)
+def _cmd_reduce(code: GaussCode, args) -> dict:
     reduced = moves.rii_reduce(code)
-    return [
-        {
-            "op": "reduce",
-            "input": args.code,
-            "code": reduced.serialize(),
-            **_stats(reduced),
-            "cancelled": (code.n - reduced.n) // 2,
-        }
-    ]
+    return {"code": reduced.serialize(), **_stats(reduced), "cancelled": (code.n - reduced.n) // 2}
 
 
-def _cmd_knotoid_genus(args) -> list[dict]:
-    code = _read_code(args.code)
+def _cmd_knotoid_genus(code: GaussCode, args) -> dict:
     bridge = moves.find_bridge(code, _labels(args.bridge))
-    return [
-        {
-            "op": "knotoid-genus",
-            "input": args.code,
-            "genus": moves.knotoid_genus(code, bridge),
-            "removed": sorted(bridge.labels),
-        }
-    ]
+    return {"genus": moves.knotoid_genus(code, bridge), "removed": sorted(bridge.labels)}
 
 
-def _cmd_import_dt(args) -> list[dict]:
-    code = dt_mod.dt_to_gauss(dt_mod.parse_dt(_read_text(args.dt)))
-    return [{"op": "import-dt", "input": args.dt, "code": code.serialize(), **_stats(code)}]
+def _cmd_import_dt(code: GaussCode, args) -> dict:
+    # the DT code arrives already converted
+    return {"code": code.serialize(), **_stats(code)}
 
 
 def _search_config(args) -> SearchConfig:
@@ -171,11 +141,9 @@ def _search_config(args) -> SearchConfig:
         raise GaussCodeError(str(exc)) from None
 
 
-def _search_report(input_text: str, code: GaussCode, config) -> dict:
-    result = _run_search(code, config)
+def _search_report(code: GaussCode, args) -> dict:
+    result = _run_search(code, args.config)
     return {
-        "op": "search",
-        "input": input_text,
         "code": result.best_code.serialize(),
         **_stats(result.best_code),
         "nodes_expanded": result.nodes_expanded,
@@ -194,42 +162,48 @@ def _search_report(input_text: str, code: GaussCode, config) -> dict:
     }
 
 
-def _cmd_search(args) -> list[dict]:
-    return [_search_report(args.code, _read_code(args.code), _search_config(args))]
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "genus": _cmd_genus,
+    "cycles": _cmd_cycles,
+    "bridges": _cmd_bridges,
+    "move": _cmd_move,
+    "reduce": _cmd_reduce,
+    "knotoid-genus": _cmd_knotoid_genus,
+    "import-dt": _cmd_import_dt,
+    "search": _search_report,
+}
 
 
-def _cmd_batch(args) -> list[dict]:
+def _report(op: str, label: str, text: str, args) -> dict:
+    """The report on one input: ``op``, ``input`` (``label``), then the
+    handler's fields or the error that stopped it."""
     try:
-        text = _read_source(args.file)
+        if op == "import-dt":
+            code = dt_mod.dt_to_gauss(dt_mod.parse_dt(text))
+        else:
+            code = parse_gauss(text)
+        fields = _HANDLERS[op](code, args)
+    except (GaussCodeError, DtCodeError) as exc:
+        fields = {"error": str(exc)}
+    except InternalInvariantError as exc:  # a bug; in a batch the other lines still run
+        fields = {"_status": 2, "error": f"internal invariant violation: {exc}"}
+    return {"op": op, "input": label, **fields}
+
+
+def _batch_lines(path: str) -> list[str]:
+    try:
+        text = _read_source(path)
     except OSError as exc:
         raise GaussCodeError(f"cannot read batch file: {exc}") from None
-    config = _search_config(args) if args.op_name == "search" else None
-    reports = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            code = parse_gauss(line)
-            if args.op_name == "genus":
-                rep = {"op": "genus", "input": line, **_stats(code)}
-            else:
-                rep = _search_report(line, code, config)
-        except (GaussCodeError, DtCodeError) as exc:
-            rep = {"op": args.op_name, "input": line, "error": str(exc)}
-        except InternalInvariantError as exc:
-            # A bug shown by one line; the other lines still get reports.
-            rep = {"op": args.op_name, "input": line, "_status": 2,
-                   "error": f"internal invariant violation: {exc}"}
-        rep["_compact"] = True
-        reports.append(rep)
-    return reports
+    lines = (line.strip() for line in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 # -- rendering --------------------------------------------------------------
 
 
-def _text_lines(rep: dict) -> list[str]:
+def _text_lines(rep: dict, batch: bool) -> list[str]:
     if "error" in rep:
         return [f"error: {rep['error']}"]
     op = rep["op"]
@@ -260,7 +234,7 @@ def _text_lines(rep: dict) -> list[str]:
     if op == "import-dt":
         return [rep["code"], f"n={rep['n']} s={rep['s']} g={rep['genus']}"]
     if op == "search":
-        if rep.get("_compact"):
+        if batch:
             return [f"g={rep['genus']} {rep['code']}"]
         lines = [
             rep["code"],
@@ -277,12 +251,20 @@ def _text_lines(rep: dict) -> list[str]:
     raise InternalInvariantError(f"no renderer for op {op!r}")
 
 
-def _emit(rep: dict, fmt: str) -> None:
+def _emit(rep: dict, fmt: str, batch: bool = False) -> None:
     if fmt == "json":
         print(json.dumps({k: v for k, v in rep.items() if not k.startswith("_")}))
     else:
-        for line in _text_lines(rep):
+        for line in _text_lines(rep, batch):
             print(line)
+
+
+def _fail(rep: dict, fmt: str) -> int:
+    # A failed command: the diagnostic on stderr, and in JSON the report too.
+    print(f"gaussgenus: {rep['error']}", file=sys.stderr)
+    if fmt == "json":
+        _emit(rep, fmt)
+    return rep.get("_status", 1)
 
 
 # -- argument plumbing -------------------------------------------------------
@@ -302,65 +284,68 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default=argparse.SUPPRESS,
         help="output format (default text)",
     )
-    parser = _Parser(prog="gaussgenus", description=__doc__)
+    # The help shows the docstring up to the handler contract (none under -OO).
+    about = __doc__ and __doc__.split("\n\nOne path")[0]
+    parser = _Parser(prog="gaussgenus", description=about)
     parser.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="op_name", parser_class=_Parser, metavar="command")
 
-    def add(name, handler, help_text, code_arg=True):
+    def add(name, help_text, metavar="code", input_help="Gauss code text, or - for stdin"):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        if code_arg:
-            p.add_argument("code", help="Gauss code text, or - for stdin")
-        p.set_defaults(handler=handler)
+        p.add_argument("input", metavar=metavar, help=input_help)
         return p
 
-    add("validate", _cmd_validate, "check a code against the Gauss-code invariants")
-    add("genus", _cmd_genus, "crossing count, Seifert circles and genus")
-    add("cycles", _cmd_cycles, "print every Seifert circle as a unit walk")
-    p = add("bridges", _cmd_bridges, "list maximal bridges")
+    add("validate", "check a code against the Gauss-code invariants")
+    add("genus", "crossing count, Seifert circles and genus")
+    add("cycles", "print every Seifert circle as a unit walk")
+    p = add("bridges", "list maximal bridges")
     p.add_argument("--kind", choices=("over", "under", "both"), default="both")
     p.add_argument("--min-len", dest="min_len", type=int, default=1)
-    p = add("move", _cmd_move, "replace one maximal bridge")
+    p = add("move", "replace one maximal bridge")
     p.add_argument("--bridge", required=True, help="comma-separated crossing labels")
-    add("reduce", _cmd_reduce, "cancel RII pairs until none remains")
-    p = add("knotoid-genus", _cmd_knotoid_genus, "genus after removing a bridge strand")
+    add("reduce", "cancel RII pairs until none remains")
+    p = add("knotoid-genus", "genus after removing a bridge strand")
     p.add_argument("--bridge", required=True, help="comma-separated crossing labels")
-    p = add("import-dt", _cmd_import_dt, "convert a DT code to an unsigned Gauss code", code_arg=False)
-    p.add_argument("dt", help="whitespace-separated signed even integers, or -")
-    p = add("search", _cmd_search, "minimize genus over move sequences")
-    _add_search_flags(p)
-    p = add("batch", _cmd_batch, "process a file of codes, one per line", code_arg=False)
-    p.add_argument("file", help="input path, or - for stdin")
-    p.add_argument("--op", dest="op_name_batch", choices=("genus", "search"), required=True)
+    add("import-dt", "convert a DT code to an unsigned Gauss code",
+        "dt", "whitespace-separated signed even integers, or -")
+    _add_search_flags(add("search", "minimize genus over move sequences"))
+    p = add("batch", "process a file of codes, one per line", "file", "input path, or - for stdin")
+    p.add_argument("--op", dest="batch_op", choices=("genus", "search"), required=True)
     _add_search_flags(p)
     return parser
 
 
+_PARSER = None  # built by the first main call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    if args.op_name is None:
+        _PARSER.print_usage(sys.stderr)
+        return 1
     fmt = getattr(args, "format", "text")
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    if getattr(args, "op_name_batch", None):
-        args.op_name = args.op_name_batch
+    batch = args.op_name == "batch"
+    op = args.batch_op if batch else args.op_name
     try:
-        reports = handler(args)
-    except (GaussCodeError, DtCodeError) as exc:
-        print(f"gaussgenus: {exc}", file=sys.stderr)
-        if fmt == "json":
-            source = getattr(args, "code", None) or getattr(args, "dt", None)
-            _emit({"op": args.op_name, "input": source, "error": str(exc)}, fmt)
-        return 1
-    except InternalInvariantError as exc:
-        print(f"gaussgenus: internal invariant violation: {exc}", file=sys.stderr)
-        return 2
+        if op == "search":
+            args.config = _search_config(args)
+        if batch:
+            inputs = [(line, line) for line in _batch_lines(args.input)]
+        else:
+            inputs = [(args.input, _read_text(args.input))]
+    except GaussCodeError as exc:
+        return _fail({"op": op, "input": args.input, "error": str(exc)}, fmt)
     status = 0
-    for rep in reports:
+    for label, text in inputs:
+        rep = _report(op, label, text, args)
         if "error" in rep:
+            if not batch:
+                return _fail(rep, fmt)
             status = max(status, rep.get("_status", 1))
-        _emit(rep, fmt)
+        _emit(rep, fmt, batch)
     return status
 
 

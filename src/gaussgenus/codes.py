@@ -67,7 +67,7 @@ class GaussCode:
     (:func:`gaussgenus.cycles._circles`); a derived code starts without them.
     """
 
-    __slots__ = ("units", "partner", "signed", "_orbits")
+    __slots__ = ("units", "partner", "_orbits")
 
     def __init__(self, units: Iterable[Unit]):
         units = tuple(units)
@@ -108,23 +108,19 @@ class GaussCode:
             partner[a], partner[b] = b, a
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "partner", tuple(partner))
-        object.__setattr__(self, "signed", True not in unsigned_flags)
         object.__setattr__(self, "_orbits", None)
 
     @classmethod
-    def _derived(
-        cls, units: tuple[Unit, ...], partner: tuple[int, ...], signed: bool
-    ) -> "GaussCode":
+    def _derived(cls, units: tuple[Unit, ...], partner: tuple[int, ...]) -> "GaussCode":
         """A code mapped from a valid one without checks.
 
         Only for maps that keep every surviving chord whole: deleting whole
         chords, rotating, flipping passes, relabeling one to one.  ``partner``
-        and ``signed`` must be what :meth:`__init__` would compute.
+        must be what :meth:`__init__` would compute.
         """
         code = object.__new__(cls)
         object.__setattr__(code, "units", units)
         object.__setattr__(code, "partner", partner)
-        object.__setattr__(code, "signed", signed)
         object.__setattr__(code, "_orbits", None)
         return code
 
@@ -157,6 +153,11 @@ class GaussCode:
 
     def __repr__(self) -> str:
         return f"GaussCode({self.serialize()!r})"
+
+    @property
+    def signed(self) -> bool:
+        """Whether the crossings carry signs; a valid code is never mixed."""
+        return not self.units or self.units[0].sign != UNSIGNED
 
     @property
     def labels(self) -> frozenset[int]:
@@ -304,7 +305,7 @@ def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
 def flip_passes(code: GaussCode) -> GaussCode:
     """Interchange over and under everywhere (labels and signs unchanged)."""
     units = tuple([u.flipped() for u in code.units])
-    return GaussCode._derived(units, code.partner, code.signed)
+    return GaussCode._derived(units, code.partner)
 
 
 def _rotate(code: GaussCode, r: int, units: tuple[Unit, ...]) -> GaussCode:
@@ -312,7 +313,7 @@ def _rotate(code: GaussCode, r: int, units: tuple[Unit, ...]) -> GaussCode:
     partner = code.partner
     m = len(partner)
     rotated = tuple([(p - r) % m for p in partner[r:] + partner[:r]])
-    return GaussCode._derived(units, rotated, code.signed)
+    return GaussCode._derived(units, rotated)
 
 
 def _restrict(code: GaussCode, keep: list[int]) -> GaussCode:
@@ -326,6 +327,4 @@ def _restrict(code: GaussCode, keep: list[int]) -> GaussCode:
     return GaussCode._derived(
         tuple([units[p] for p in keep]),
         tuple([index[partner[p]] for p in keep]),
-        # A code without units is signed; an unsigned one has no signed unit.
-        code.signed or not keep,
     )

@@ -3,12 +3,15 @@
 import importlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
 from gaussgenus import (
+    InternalInvariantError,
     SearchConfig,
     canonical_form,
     enumerate_bridges,
@@ -368,3 +371,261 @@ def test_batch_internal_invariant_reports_its_line(tmp_path, capsys, monkeypatch
     assert reports[1]["error"].startswith("malformed unit")
     assert reports[2]["genus"] == 2
     assert all(not key.startswith("_") for r in reports for key in r)
+
+
+def test_internal_invariant_in_json_emits_the_error_report(capsys, monkeypatch):
+    def boom(code, bridge):
+        raise InternalInvariantError("forced for the test")
+
+    monkeypatch.setattr(cli.moves, "bridge_replace", boom)
+    status, out, err = run(capsys, "--format", "json", "move", EIGHT_20, "--bridge", "4,5")
+    assert status == 2
+    assert json.loads(out) == {
+        "op": "move",
+        "input": EIGHT_20,
+        "error": "internal invariant violation: forced for the test",
+    }
+    assert err == "gaussgenus: internal invariant violation: forced for the test\n"
+
+
+def test_batch_read_failure_names_the_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    status, out, err = run(capsys, "--format", "json", "batch", missing, "--op", "search")
+    assert status == 1
+    report = json.loads(out)
+    assert report["op"] == "search"
+    assert report["input"] == missing
+    assert report["error"].startswith("cannot read batch file: ")
+    assert err == f"gaussgenus: {report['error']}\n"
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv in (["genus", TREFOIL], ["--format", "json", "validate", TREFOIL], ["reduce", RII_PAIR]):
+        assert main(argv) == 0
+    assert len(built) == 1
+    assert build() is not build()  # the public builder still returns a fresh parser
+
+
+def test_parser_is_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    check = "import gaussgenus.cli as cli; raise SystemExit(cli._PARSER is not None)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+# Every subcommand once, byte for byte:
+# name -> (argv, exit status, text stdout, JSON stdout, stderr).  BATCH stands
+# for a file holding the trefoil, 8_20 and a malformed line.
+BATCH = "<batch file>"
+TRANSCRIPT = {
+    "validate": (
+        ("validate", TREFOIL),
+        0,
+        "valid n=3 signed=yes\n",
+        (
+            '{"op": "validate", "input": "O1-U2-O3-U1-O2-U3-", "valid": true, '
+            '"n": 3, "signed": true}\n'
+        ),
+        "",
+    ),
+    "validate-invalid": (
+        ("validate", "O1-U1+"),
+        1,
+        "",
+        (
+            '{"op": "validate", "input": "O1-U1+", '
+            '"error": "label 1 carries two different signs"}\n'
+        ),
+        "gaussgenus: label 1 carries two different signs\n",
+    ),
+    "genus": (
+        ("genus", TREFOIL),
+        0,
+        "n=3 s=2 g=1\n",
+        (
+            '{"op": "genus", "input": "O1-U2-O3-U1-O2-U3-", "n": 3, "s": 2, '
+            '"genus": 1}\n'
+        ),
+        "",
+    ),
+    "cycles": (
+        ("cycles", TREFOIL),
+        0,
+        "n=3 s=2 g=1\nO1-U1-O2-U2-O3-U3-\nU1-O1-U2-O2-U3-O3-\n",
+        (
+            '{"op": "cycles", "input": "O1-U2-O3-U1-O2-U3-", "n": 3, "s": 2, '
+            '"genus": 1, "cycles": ["O1-U1-O2-U2-O3-U3-", '
+            '"U1-O1-U2-O2-U3-O3-"]}\n'
+        ),
+        "",
+    ),
+    "bridges": (
+        ("bridges", EIGHT_20),
+        0,
+        (
+            "over labels=8,1 start=15 len=2 strict=yes\n"
+            "under labels=2,3 start=1 len=2 strict=yes\n"
+            "over labels=4,5 start=3 len=2 strict=yes\n"
+            "under labels=1,6 start=5 len=2 strict=yes\n"
+            "over labels=7 start=7 len=1 strict=no\n"
+            "under labels=8,5 start=8 len=2 strict=no\n"
+            "over labels=2,6 start=10 len=2 strict=no\n"
+            "under labels=7 start=12 len=1 strict=no\n"
+            "over labels=3 start=13 len=1 strict=no\n"
+            "under labels=4 start=14 len=1 strict=no\n"
+        ),
+        (
+            '{"op": "bridges", '
+            '"input": "O1+U2-U3+O4+O5-U1+U6-O7-U8-U5-O2-O6-U7-O3+U4+O8-", '
+            '"n": 8, "bridges": [{"kind": "over", "labels": [8, 1], "start": 15, '
+            '"length": 2, "strict": true}, {"kind": "under", "labels": [2, 3], '
+            '"start": 1, "length": 2, "strict": true}, {"kind": "over", '
+            '"labels": [4, 5], "start": 3, "length": 2, "strict": true}, '
+            '{"kind": "under", "labels": [1, 6], "start": 5, "length": 2, '
+            '"strict": true}, {"kind": "over", "labels": [7], "start": 7, '
+            '"length": 1, "strict": false}, {"kind": "under", "labels": [8, 5], '
+            '"start": 8, "length": 2, "strict": false}, {"kind": "over", '
+            '"labels": [2, 6], "start": 10, "length": 2, "strict": false}, '
+            '{"kind": "under", "labels": [7], "start": 12, "length": 1, '
+            '"strict": false}, {"kind": "over", "labels": [3], "start": 13, '
+            '"length": 1, "strict": false}, {"kind": "under", "labels": [4], '
+            '"start": 14, "length": 1, "strict": false}]}\n'
+        ),
+        "",
+    ),
+    "move": (
+        ("move", EIGHT_20, "--bridge", "4,5"),
+        0,
+        (
+            "O1+U12+U2-U3+U9-O9-O10+O11-O12+U1+U6-O7-U8-O2-U11-O6-U7-U10+O3+O8-\n"
+            "anchor=U3+ patterns=3,2 inserted=9,10,11,12 removed=4,5 genus 3 -> 2 strict=yes\n"
+            "guide=U3+U1+O1+U2-O2-O6-U6-O7-U7-O3+\n"
+        ),
+        (
+            '{"op": "move", '
+            '"input": "O1+U2-U3+O4+O5-U1+U6-O7-U8-U5-O2-O6-U7-O3+U4+O8-", '
+            '"code": "O1+U12+U2-U3+U9-O9-O10+O11-O12+U1+U6-O7-U8-O2-U11-O6-U7-U10+O3+O8-", '
+            '"n": 10, "s": 7, "genus": 2, "genus_before": 3, "anchor": "U3+", '
+            '"guide": "U3+U1+O1+U2-O2-O6-U6-O7-U7-O3+", "patterns": [3, 2], '
+            '"inserted": [9, 10, 11, 12], "removed": [4, 5], "strict": true}\n'
+        ),
+        "",
+    ),
+    "reduce": (
+        ("reduce", RII_PAIR),
+        0,
+        "\ncancelled=1 n=0 g=0\n",
+        (
+            '{"op": "reduce", "input": "O1+U2-U1+O2-", "code": "", "n": 0, '
+            '"s": 1, "genus": 0, "cancelled": 1}\n'
+        ),
+        "",
+    ),
+    "knotoid-genus": (
+        ("knotoid-genus", EIGHT_20, "--bridge", "4,5"),
+        0,
+        "g=2\n",
+        (
+            '{"op": "knotoid-genus", '
+            '"input": "O1+U2-U3+O4+O5-U1+U6-O7-U8-U5-O2-O6-U7-O3+U4+O8-", '
+            '"genus": 2, "removed": [4, 5]}\n'
+        ),
+        "",
+    ),
+    "import-dt": (
+        ("import-dt", DT_GENUS3),
+        0,
+        (
+            "U1?O6?O2?U13?O3?O16?U4?U10?O5?U14?U6?O1?U7?O4?O8?O12?U9?U15?O10?O7?U11?U3?U12?O9?O13?U2?O14?U5?O15?U8?U16?O11?\n"
+            "n=16 s=11 g=3\n"
+        ),
+        (
+            '{"op": "import-dt", '
+            '"input": "-12 26 22 -14 28 -2 -20 30 -24 8 -32 -16 4 10 18 -6", '
+            '"code": "U1?O6?O2?U13?O3?O16?U4?U10?O5?U14?U6?O1?U7?O4?O8?O12?U9?U15?O10?O7?U11?U3?U12?O9?O13?U2?O14?U5?O15?U8?U16?O11?", '
+            '"n": 16, "s": 11, "genus": 3}\n'
+        ),
+        "",
+    ),
+    "search": (
+        ("search", EIGHT_20, "--depth", "2"),
+        0,
+        (
+            "O1+O2-U3-O4-U2-O5-U6-O3-U4-U7+O8+U1+U9-O9-O7+O6-U5-U8+\n"
+            "g=2 crossings=9 nodes=7 pruned=15 steps=2\n"
+            "  over bridge=6,3 patterns=1,8,7 rii=1 -> g=2 n=10\n"
+            "  under bridge=3,4,5 patterns=7,6 rii=1 -> g=2 n=9\n"
+        ),
+        (
+            '{"op": "search", '
+            '"input": "O1+U2-U3+O4+O5-U1+U6-O7-U8-U5-O2-O6-U7-O3+U4+O8-", '
+            '"code": "O1+O2-U3-O4-U2-O5-U6-O3-U4-U7+O8+U1+U9-O9-O7+O6-U5-U8+", '
+            '"n": 9, "s": 6, "genus": 2, "nodes_expanded": 7, '
+            '"duplicates_pruned": 15, "trace": [{"kind": "over", "bridge": [6, '
+            '3], "patterns": [1, 8, 7], "rii_cancelled": 1, "genus": 2, '
+            '"crossings": 10}, {"kind": "under", "bridge": [3, 4, 5], '
+            '"patterns": [7, 6], "rii_cancelled": 1, "genus": 2, '
+            '"crossings": 9}]}\n'
+        ),
+        "",
+    ),
+    "batch-genus": (
+        ("batch", BATCH, "--op", "genus"),
+        1,
+        (
+            "n=3 s=2 g=1\nn=8 s=3 g=3\n"
+            "error: malformed unit at offset 0: 'NONSENSE'\n"
+        ),
+        (
+            '{"op": "genus", "input": "O1-U2-O3-U1-O2-U3-", "n": 3, "s": 2, '
+            '"genus": 1}\n{"op": "genus", '
+            '"input": "O1+U2-U3+O4+O5-U1+U6-O7-U8-U5-O2-O6-U7-O3+U4+O8-", '
+            '"n": 8, "s": 3, "genus": 3}\n{"op": "genus", "input": "NONSENSE", '
+            '"error": "malformed unit at offset 0: \'NONSENSE\'"}\n'
+        ),
+        "",
+    ),
+    "batch-search": (
+        ("batch", BATCH, "--op", "search", "--depth", "1"),
+        1,
+        (
+            "g=1 O1-U2-O3-U1-O2-U3-\n"
+            "g=2 O1+O2-O3+O4-U4-U5+U6-U1+O7+O8-O5+U3+U9-O10-U2-O6-U8-O9-U10-U7+\n"
+            "error: malformed unit at offset 0: 'NONSENSE'\n"
+        ),
+        (
+            '{"op": "search", "input": "O1-U2-O3-U1-O2-U3-", '
+            '"code": "O1-U2-O3-U1-O2-U3-", "n": 3, "s": 2, "genus": 1, '
+            '"nodes_expanded": 1, "duplicates_pruned": 0, "trace": []}\n'
+            '{"op": "search", '
+            '"input": "O1+U2-U3+O4+O5-U1+U6-O7-U8-U5-O2-O6-U7-O3+U4+O8-", '
+            '"code": "O1+O2-O3+O4-U4-U5+U6-U1+O7+O8-O5+U3+U9-O10-U2-O6-U8-O9-U10-U7+", '
+            '"n": 10, "s": 7, "genus": 2, "nodes_expanded": 1, '
+            '"duplicates_pruned": 0, "trace": [{"kind": "under", "bridge": [7, '
+            '8], "patterns": [3, 6], "rii_cancelled": 0, "genus": 2, '
+            '"crossings": 10}]}\n{"op": "search", "input": "NONSENSE", '
+            '"error": "malformed unit at offset 0: \'NONSENSE\'"}\n'
+        ),
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(TRANSCRIPT))
+def test_transcript_is_unchanged(tmp_path, capsys, name, fmt):
+    argv, status, text_out, json_out, err = TRANSCRIPT[name]
+    batch = tmp_path / "codes.txt"
+    batch.write_text(f"{TREFOIL}\n{EIGHT_20}\nNONSENSE\n", encoding="utf-8")
+    argv = [str(batch) if arg == BATCH else arg for arg in argv]
+    out = text_out if fmt == "text" else json_out
+    assert run(capsys, "--format", fmt, *argv) == (status, out, err)
