@@ -63,11 +63,12 @@ class GaussCode:
 
     The stored linearization is arbitrary; no basepoint is semantic.  Two
     codes are cyclically equivalent iff their :func:`canonical_form` values
-    compare equal.  Its Seifert circles are kept on it after their first use
-    (:func:`gaussgenus.cycles._circles`); a derived code starts without them.
+    compare equal.  Its Seifert circles (:func:`gaussgenus.cycles._circles`)
+    and its hash are kept on it after their first use; a derived code starts
+    without them.
     """
 
-    __slots__ = ("units", "partner", "_orbits")
+    __slots__ = ("units", "partner", "_orbits", "_hash")
 
     def __init__(self, units: Iterable[Unit]):
         units = tuple(units)
@@ -109,6 +110,7 @@ class GaussCode:
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "partner", tuple(partner))
         object.__setattr__(self, "_orbits", None)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _derived(cls, units: tuple[Unit, ...], partner: tuple[int, ...]) -> "GaussCode":
@@ -122,6 +124,7 @@ class GaussCode:
         object.__setattr__(code, "units", units)
         object.__setattr__(code, "partner", partner)
         object.__setattr__(code, "_orbits", None)
+        object.__setattr__(code, "_hash", None)
         return code
 
     def __setattr__(self, name, value):
@@ -129,7 +132,8 @@ class GaussCode:
 
     def __reduce__(self):
         # Pickles and copies rebuild through __init__, so unpickled data is
-        # validated like any outside input; the circle cache is not state.
+        # validated like any outside input; the cached circles and hash are
+        # not state.
         return (GaussCode, (self.units,))
 
     # -- basic views ---------------------------------------------------
@@ -149,7 +153,10 @@ class GaussCode:
         return isinstance(other, GaussCode) and self.units == other.units
 
     def __hash__(self) -> int:
-        return hash(self.units)
+        # Search hashes each child twice, for the lookup and the insertion.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.units))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GaussCode({self.serialize()!r})"

@@ -33,18 +33,24 @@ def sigma_orbit(code: GaussCode, start: int) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
-    # Recorded walk: each orbit element followed by its chord partner, from
-    # the least phase.  Distinct positions carry distinct (pass, label)
-    # pairs, so the phase whose first unit is least gives the least walk.
+def _walk(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
+    # Each orbit position's unit followed by its chord partner's unit.
     units = code.units
     partner = code.partner
-    k = min(range(len(orbit)), key=lambda t: unit_order_key(units[orbit[t]]))
     out = []
-    for x in orbit[k:] + orbit[:k]:
+    for x in orbit:
         out.append(units[x])
         out.append(units[partner[x]])
     return tuple(out)
+
+
+def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
+    # Recorded walk from the least phase.  Distinct positions carry distinct
+    # (pass, label) pairs, so the phase whose first unit is least gives the
+    # least walk.
+    units = code.units
+    k = min(range(len(orbit)), key=lambda t: unit_order_key(units[orbit[t]]))
+    return _walk(code, orbit[k:] + orbit[:k])
 
 
 def _circles(code: GaussCode) -> tuple[tuple[int, ...], int]:

@@ -9,6 +9,7 @@ All operations are pure; codes are immutable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .codes import (
@@ -26,7 +27,7 @@ from .codes import (
 # benchmarks/tracing.py rebinds them.
 from .codes import canonical_rotation  # noqa: F401
 from .cycles import cycles  # noqa: F401
-from .cycles import _circles, genus, remove_chords, sigma_orbit
+from .cycles import _circles, _walk, genus, remove_chords, sigma_orbit
 
 _KIND_ALIASES = {
     "O": OVER,
@@ -51,52 +52,52 @@ class Bridge:
 
 
 def bridge_at(code: GaussCode, start: int, length: int) -> Bridge:
-    """The bridge occupying ``length`` positions from ``start``."""
-    m = len(code.units)
+    """The bridge occupying ``length`` positions from ``start``, maximal or not."""
+    units = code.units
+    m = len(units)
+    if type(start) is not int or type(length) is not int:
+        raise GaussCodeError(f"bridge start {start!r} and length {length!r} must be ints")
     if m == 0 or not 1 <= length <= m:
         raise GaussCodeError(f"no bridge of length {length} in a code of {m} units")
     start %= m
     positions = tuple((start + t) % m for t in range(length))
-    kind = code.units[start].kind
-    labels = []
+    kind = units[start].kind
     for p in positions:
-        u = code.units[p]
-        if u.kind != kind:
-            raise GaussCodeError(f"run at {start} mixes passes (position {p} is {u.kind})")
-        labels.append(u.label)
-    maximal = (
-        length == m
-        or (
-            code.units[(start - 1) % m].kind != kind
-            and code.units[(start + length) % m].kind != kind
-        )
-    )
-    return Bridge(kind=kind, positions=positions, labels=tuple(labels), maximal=maximal)
+        if units[p].kind != kind:
+            raise GaussCodeError(f"run at {start} mixes passes (position {p} is {units[p].kind})")
+    labels = tuple([units[p].label for p in positions])
+    # A valid code holds both pass letters, so no run fills the whole cycle.
+    maximal = units[start - 1].kind != kind and units[(start + length) % m].kind != kind
+    return Bridge(kind=kind, positions=positions, labels=labels, maximal=maximal)
 
 
 def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> list[Bridge]:
     """All maximal bridges of the requested kind(s) with length >= min_len.
 
-    Wrap-around runs are handled; bridges are ordered by the smallest
-    position they contain.
+    Each run of equal pass letters, found by one scan, is one bridge; they
+    come in order of least position, so a run wrapping past the end is first.
     """
-    want = _KIND_ALIASES.get(kind)
+    want = _KIND_ALIASES.get(kind) if type(kind) is str else None
     if want is None:
         raise GaussCodeError(f"bad bridge kind {kind!r}")
+    if type(min_len) is not int:
+        raise GaussCodeError(f"min_len must be an int, not {min_len!r}")
     if min_len < 1:
         raise GaussCodeError("min_len must be positive")
-    m = len(code.units)
+    units = code.units
+    m = len(units)
     if m == 0:
         return []
-    starts = [i for i in range(m) if code.units[i].kind != code.units[i - 1].kind]
+    starts = [i for i in range(m) if units[i].kind != units[i - 1].kind]
+    if starts[0]:  # position 0 lies inside the last run, which wraps
+        starts.insert(0, starts.pop())
     bridges = []
-    for idx, st in enumerate(starts):
-        nxt = starts[(idx + 1) % len(starts)]
-        length = (nxt - st) % m
-        b = bridge_at(code, st, length)
-        if len(b) >= min_len and want in ("both", b.kind):
-            bridges.append(b)
-    bridges.sort(key=lambda b: min(b.positions))
+    for st, nxt in zip(starts, starts[1:] + starts[:1]):
+        run = units[st].kind
+        if (nxt - st) % m >= min_len and want in ("both", run):
+            positions = tuple(range(st, nxt)) if st < nxt else (*range(st, m), *range(nxt))
+            labels = tuple([units[p].label for p in positions])
+            bridges.append(Bridge(kind=run, positions=positions, labels=labels, maximal=True))
     return bridges
 
 
@@ -111,19 +112,13 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
 
 
 def _require_bridge(code: GaussCode, bridge: Bridge) -> None:
-    m = len(code.units)
-    if m == 0 or not bridge.positions or len(bridge.positions) != len(bridge.labels):
-        raise GaussCodeError("bridge not contained in code")
-    prev = None
-    for p, label in zip(bridge.positions, bridge.labels):
-        if not 0 <= p < m:
-            raise GaussCodeError("bridge not contained in code")
-        u = code.units[p]
-        if u.kind != bridge.kind or u.label != label:
-            raise GaussCodeError("bridge not contained in code")
-        if prev is not None and (p - prev) % m != 1:
-            raise GaussCodeError("bridge positions are not contiguous")
-        prev = p
+    # Exactly the run that ``bridge_at`` reads from the first position, maximal or not.
+    positions = bridge.positions
+    if positions and all(type(p) is int for p in positions):
+        found = bridge_at(code, positions[0], len(positions))
+        if (found.kind, found.positions, found.labels) == (bridge.kind, positions, bridge.labels):
+            return
+    raise GaussCodeError("bridge not contained in code")
 
 
 def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:
@@ -177,13 +172,12 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     if not code.signed:
         raise GaussCodeError("bridge replacement requires a fully signed code")
     _require_bridge(code, bridge)
-    m = len(code.units)
     top = bridge.kind
     bottom = UNDER if top == OVER else OVER
     doomed = frozenset(bridge.labels)
     removed = tuple(sorted(doomed))
     strict = _bypass(_circles(code)[0], bridge)
-    kept = [i for i in range(m) if code.units[i].label not in doomed]
+    kept = [i for i, u in enumerate(code.units) if u.label not in doomed]
     trimmed = _restrict(code, kept)
     if not kept:  # the bridge held every crossing: the result is the unknot
         unknot = MoveOutcome(
@@ -192,26 +186,16 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
         )
         return _checked(code, trimmed, unknot)
 
-    # Anchor X: first unit at or cyclically left of the one just before the
-    # bridge that names no bridge crossing.
-    pos = (bridge.positions[0] - 1) % m
-    while code.units[pos].label in doomed:
-        pos = (pos - 1) % m
-    xc = kept.index(pos)
-
-    mm = len(trimmed.units)
+    # Anchor X: the last kept unit cyclically before the bridge, by bisection.
+    mm = len(kept)
+    xc = (bisect_left(kept, bridge.positions[0]) - 1) % mm
     partner = trimmed.partner
 
     # Guide cycle: the circle running along the arc just after X, i.e. the
     # one through the gap the removed bridge used to occupy.  Present it
-    # from X, so its first step is that arc.
+    # from X, so its first step is that arc; the walk closes back at X.
     orbit = sigma_orbit(trimmed, (xc + 1) % mm)
-    guide_pos = [xc]
-    for x in orbit:
-        guide_pos.append(x)
-        guide_pos.append(partner[x])
-    guide_pos.pop()  # the walk closes back at X
-    guide = tuple(trimmed.units[t] for t in guide_pos)
+    guide = (trimmed.units[xc],) + _walk(trimmed, orbit)[:-1]
 
     # Pattern crossings: chord steps of the guide, scanned leftward from X,
     # where the new bridge must cross the interval.  A '+' crossing matches
@@ -252,7 +236,7 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
         MoveOutcome(
             result=result,
             removed_labels=removed,
-            anchor=code.units[pos],
+            anchor=trimmed.units[xc],
             guide=guide,
             pattern_labels=tuple(a for a, _, _ in patterns),
             inserted_labels=tuple(range(base + 1, base + 2 * k + 1)),

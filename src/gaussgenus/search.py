@@ -31,12 +31,14 @@ class SearchConfig:
     only_strict: bool = False
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if self.beam_width is not None and self.beam_width < 1:
-            raise ValueError("beam_width must be at least 1")
-        if self.min_bridge_len < 1:
-            raise ValueError("min_bridge_len must be at least 1")
+        for name in ("max_depth", "beam_width", "min_bridge_len"):
+            value = getattr(self, name)
+            if name == "beam_width" and value is None:
+                continue
+            if type(value) is not int:  # floats, strings and bools alike
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)

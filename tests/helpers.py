@@ -115,6 +115,53 @@ def torus_code(p, q) -> GaussCode:
     return code
 
 
+# -- realizability oracle ------------------------------------------------------
+
+
+def supporting_genus(code: GaussCode) -> int:
+    """Genus of the closed surface the diagram embeds in, by tracing faces.
+
+    Each crossing is a 4-valent vertex whose half-edges, counterclockwise,
+    are over-out, under-out, over-in, under-in for a '+' crossing, with the
+    two under half-edges swapped for a '-' crossing.  Half-edge 2i enters
+    position i and 2i + 1 leaves it; the edge from position i to i + 1 joins
+    2i + 1 to 2(i + 1).  Faces are the orbits of "cross the edge, then turn
+    to the next half-edge"; with n vertices and 2n edges, Euler's formula
+    gives g = (2 + n - faces) / 2.  A planar-realizable code gives 0.
+    """
+    m = len(code.units)
+    if m == 0:
+        return 0
+    rot = [0] * (2 * m)
+    for o in range(m):
+        if code.units[o].kind != OVER:
+            continue
+        u = code.partner[o]
+        if code.units[o].sign == POSITIVE:
+            ring = (2 * o + 1, 2 * u + 1, 2 * o, 2 * u)
+        else:
+            ring = (2 * o + 1, 2 * u, 2 * o, 2 * u + 1)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            rot[a] = b
+
+    def across(h):
+        i = h // 2
+        return 2 * ((i + 1) % m) if h % 2 else 2 * ((i - 1) % m) + 1
+
+    seen = [False] * (2 * m)
+    faces = 0
+    for h in range(2 * m):
+        if seen[h]:
+            continue
+        faces += 1
+        while not seen[h]:
+            seen[h] = True
+            h = rot[across(h)]
+    doubled = 2 + code.n - faces
+    assert doubled % 2 == 0 and doubled >= 0, (code, faces)
+    return doubled // 2
+
+
 # -- knot-group fingerprint --------------------------------------------------
 #
 # Alexander polynomial of the Wirtinger presentation, evaluated over GF(p)

@@ -20,7 +20,7 @@ from gaussgenus import (
     flip_passes,
     parse_gauss,
 )
-from helpers import TREFOIL, random_code
+from helpers import EIGHT_20, TREFOIL, random_code
 
 
 def test_parse_trefoil():
@@ -225,3 +225,13 @@ def test_code_pickles_and_copies():
 
     with pytest.raises(GaussCodeError, match="appears 1 time"):
         pickle.loads(pickle.dumps(Forged()))
+
+
+def test_hash_is_cached_on_the_code():
+    code = parse_gauss(EIGHT_20)
+    assert code._hash is None
+    assert hash(code) == hash(code.units) == code._hash
+    for derived in (canonical_form(code), code.rotated(3), flip_passes(code)):
+        assert derived._hash is None  # a derived code hashes its own units
+        assert hash(derived) == hash(derived.units)
+    assert pickle.loads(pickle.dumps(code))._hash is None

@@ -1,14 +1,15 @@
 """Differential tests: the fast kernels against the slower ones they replaced.
 
 The reference implementations below are the scans that the orbit pass,
-candidate elimination, the one-pass RII worklist and the one-regex parser
-replaced.  They are kept here as oracles: every rotation scored in full,
-every phase of every circle tried, the genus counted from the printable
-decomposition, RII pairs cancelled one round at a time from the canonical
-base point, text scanned unit by unit, and search nodes keyed by their
-serialization with every frontier re-sorted.  Codes derived from a valid
-code without re-validation are compared with the validated build of their
-units.
+candidate elimination, the one-pass RII worklist, the one-regex parser and
+the one-scan bridge enumeration replaced.  They are kept here as oracles:
+every rotation scored in full, every phase of every circle tried, the genus
+counted from the printable decomposition, RII pairs cancelled one round at a
+time from the canonical base point, text scanned unit by unit, search nodes
+keyed by their serialization with every frontier re-sorted, each run read
+again by ``bridge_at`` and the bridges sorted, and the anchor of a bridge
+replacement found by walking left.  Codes derived from a valid code without
+re-validation are compared with the validated build of their units.
 """
 
 import itertools
@@ -21,12 +22,14 @@ from gaussgenus import (
     OVER,
     POSITIVE,
     UNDER,
+    Bridge,
     GaussCode,
     GaussCodeError,
     SearchConfig,
     SearchResult,
     SearchStep,
     Unit,
+    bridge_at,
     bridge_replace,
     canonical_form,
     chord_removal_drops_genus,
@@ -177,6 +180,35 @@ def reference_parse_gauss(text):
         units.append(Unit(kind, int(digits), _CHAR_SIGN[sign]))
         i = m.end()
     return GaussCode(units)
+
+
+def reference_enumerate_bridges(code, kind, min_len):
+    want = {"O": OVER, "U": UNDER, "over": OVER, "under": UNDER, "both": "both"}[kind]
+    m = len(code.units)
+    if m == 0:
+        return []
+    starts = [i for i in range(m) if code.units[i].kind != code.units[i - 1].kind]
+    bridges = []
+    for idx, st in enumerate(starts):
+        nxt = starts[(idx + 1) % len(starts)]
+        b = bridge_at(code, st, (nxt - st) % m)
+        if len(b) >= min_len and want in ("both", b.kind):
+            bridges.append(b)
+    bridges.sort(key=lambda b: min(b.positions))
+    return bridges
+
+
+def reference_anchor(code, bridge):
+    """The first unit at or left of the one before the bridge that names no
+    bridge crossing, or None when the bridge holds every crossing."""
+    doomed = set(bridge.labels)
+    if doomed == code.labels:
+        return None
+    m = len(code.units)
+    pos = (bridge.positions[0] - 1) % m
+    while code.units[pos].label in doomed:
+        pos = (pos - 1) % m
+    return code.units[pos]
 
 
 def reference_search(code, config):
@@ -440,6 +472,78 @@ def test_open_diagram_matches_validated_build(monkeypatch):
                 assert trimmed == remove_chords(code, bridge.labels)
                 replaced += 1
     assert replaced > 1000
+
+
+def test_enumerate_bridges_matches_sorted_runs():
+    zero_starts = {True: 0, False: 0}
+    for corpora in (CORPORA, RII_CORPORA):
+        for corpus in sorted(corpora):
+            for code in corpora[corpus]():
+                for kind in ("both", "O", "U", "over", "under"):
+                    for min_len in (1, 2, 3):
+                        ours = enumerate_bridges(code, kind, min_len)
+                        assert ours == reference_enumerate_bridges(code, kind, min_len), code
+                if len(code):
+                    zero_starts[code.units[0].kind != code.units[-1].kind] += 1
+    # Both orders of the run list are exercised: a run starting at position 0
+    # keeps the scan order, a run wrapping past the end goes first.
+    assert min(zero_starts.values()) > 200, zero_starts
+
+
+def test_anchor_and_guide_match_leftward_walk():
+    replaced = 0
+    for corpus in sorted(CORPORA):
+        for code in CORPORA[corpus]():
+            if not code.signed or code.n > 12:
+                continue
+            for bridge in enumerate_bridges(code):
+                outcome = bridge_replace(code, bridge)
+                anchor = reference_anchor(code, bridge)
+                assert outcome.anchor == anchor, (code, bridge)
+                if anchor is None:
+                    assert outcome.guide == ()
+                    continue
+                trimmed = remove_chords(code, bridge.labels)
+                xc = trimmed.units.index(anchor)
+                orbit = sigma_orbit(trimmed, (xc + 1) % len(trimmed))
+                assert outcome.guide == (anchor,) + _interleave(trimmed, orbit)[:-1]
+                replaced += 1
+    assert replaced > 1000
+
+
+def test_require_bridge_accepts_exactly_the_runs_of_the_code():
+    checked = 0
+    for code in CORPORA["random"]():
+        if code.n == 0:
+            continue
+        m = len(code)
+        top = max(code.labels)
+        for bridge in enumerate_bridges(code):
+            moves._require_bridge(code, bridge)
+            length = len(bridge)
+            if length > 1:  # a part of a run is a bridge, though not maximal
+                part = bridge_at(code, bridge.positions[1], length - 1)
+                assert not part.maximal
+                moves._require_bridge(code, part)
+                # Reversed, the run is no run.
+                wrongs = [Bridge(bridge.kind, bridge.positions[::-1], bridge.labels[::-1], True)]
+            else:
+                wrongs = []
+            other = UNDER if bridge.kind == OVER else OVER
+            shifted = tuple((p + 1) % m for p in bridge.positions)
+            relabelled = tuple(x + top for x in bridge.labels)
+            wrongs += [
+                Bridge(bridge.kind, shifted, bridge.labels, True),
+                Bridge(other, bridge.positions, bridge.labels, True),
+                Bridge(bridge.kind, bridge.positions, relabelled, True),
+                Bridge(bridge.kind, bridge.positions, bridge.labels[:-1], True),
+                Bridge(bridge.kind, (), (), True),
+            ]
+            for wrong in wrongs:
+                with pytest.raises(GaussCodeError):
+                    moves._require_bridge(code, wrong)
+                checked += 1
+    assert checked > 5000
 
 
 _SPACES = " \t\n\x1c\u00a0\u2003\u3000"

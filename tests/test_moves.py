@@ -31,6 +31,8 @@ from helpers import (
     braid_knot_code,
     knot_fingerprint,
     random_code,
+    supporting_genus,
+    torus_code,
 )
 from test_kernels import _cancellable_pairs
 
@@ -67,6 +69,34 @@ def test_bridge_at_maximality():
     assert bridge_at(code, 3, 2).maximal
     with pytest.raises(GaussCodeError):
         bridge_at(code, 2, 2)  # U3+,O4+ mixes passes
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda code: enumerate_bridges(code, ["over"]),
+        lambda code: enumerate_bridges(code, "both", "2"),
+        lambda code: enumerate_bridges(code, "both", True),
+        lambda code: bridge_at(code, 0, 1.0),
+        lambda code: bridge_at(code, 3.0, 2),
+        lambda code: strictly_decreases(code, Bridge(OVER, (3.0, 4.0), (4, 5), True)),
+        lambda code: bridge_replace(code, Bridge(OVER, (3, 4.0), (4, 5), True)),
+        lambda code: knotoid_genus(code, Bridge(OVER, (3, True), (4, 5), True)),
+    ],
+    ids=[
+        "kind-list",
+        "min-len-str",
+        "min-len-bool",
+        "length-float",
+        "start-float",
+        "float-positions",
+        "float-second-position",
+        "bool-position",
+    ],
+)
+def test_bridge_arguments_that_are_not_ints_are_rejected(call):
+    with pytest.raises(GaussCodeError):
+        call(parse_gauss(EIGHT_20))
 
 
 def test_find_bridge_requires_maximal_label_set():
@@ -233,6 +263,31 @@ def test_replace_preserves_knot_type_on_realizable_codes():
             outcome = bridge_replace(code, bridge)
             assert knot_fingerprint(outcome.result) == fp
             assert knot_fingerprint(rii_reduce(outcome.result)) == fp
+
+
+def test_supporting_genus_fixtures():
+    for code in (parse_gauss(TREFOIL), parse_gauss(EIGHT_20)):
+        assert supporting_genus(code) == 0
+    for p, q in ((3, 4), (3, 5), (5, 7)):
+        assert supporting_genus(torus_code(p, q)) == 0
+    assert supporting_genus(parse_gauss("O1+U2+U1+O2+")) == 1  # the virtual trefoil
+    assert supporting_genus(parse_gauss("")) == 0
+
+
+def test_replace_keeps_realizable_codes_realizable():
+    # A planar diagram stays planar through a bridge replacement and RII,
+    # which the knot fingerprint above does not check.
+    rng = random.Random(2011)
+    replaced = 0
+    for _ in range(300):
+        code = braid_knot_code(rng)
+        assert supporting_genus(code) == 0, code
+        for bridge in enumerate_bridges(code):
+            result = bridge_replace(code, bridge).result
+            assert supporting_genus(result) == 0, (code, bridge)
+            assert supporting_genus(rii_reduce(result)) == 0, (code, bridge)
+            replaced += 1
+    assert replaced > 2000
 
 
 # -- RII reduction -----------------------------------------------------------

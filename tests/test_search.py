@@ -63,6 +63,22 @@ def test_config_validation():
         SearchConfig(strategy="greedy")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beam_width", 2.5),
+        ("beam_width", "3"),
+        ("beam_width", True),
+        ("max_depth", 2.5),
+        ("min_bridge_len", 2.0),
+    ],
+)
+def test_config_rejects_values_that_are_not_ints(field, value):
+    # Before the check, a float beam or depth failed only inside search.
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        SearchConfig(**{field: value})
+
+
 def test_trace_genus_is_non_increasing():
     result = search(EIGHT, SearchConfig(max_depth=3))
     genera = [genus(EIGHT)] + [step.genus_after for step in result.move_trace]
