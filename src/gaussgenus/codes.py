@@ -53,6 +53,12 @@ class Unit(NamedTuple):
         return Unit(UNDER if self.kind == OVER else OVER, self.label, self.sign)
 
 
+def _label_key(label) -> tuple:
+    # Orders int labels by value and any other object after them by its text,
+    # so naming a bad label in an error never compares unlike types.
+    return (0, label) if type(label) is int else (1, repr(label))
+
+
 def unit_order_key(unit: Unit) -> tuple[int, int, int]:
     """Total order on units: O before U, then label, then '+' before '-'."""
     return (0 if unit.kind == OVER else 1, unit.label, _SIGN_RANK[unit.sign])
@@ -65,14 +71,17 @@ class GaussCode:
     codes are cyclically equivalent iff their :func:`canonical_form` values
     compare equal.  Its Seifert circles (:func:`gaussgenus.cycles._circles`)
     and its hash are kept on it after their first use; a derived code starts
-    without them.
+    without them.  Building one from units is a single scan that checks each
+    unit and pairs each chord at its second pass; the per-label checks then
+    read one pair per label.
     """
 
     __slots__ = ("units", "partner", "_orbits", "_hash")
 
     def __init__(self, units: Iterable[Unit]):
         units = tuple(units)
-        label_pos: dict[int, list[int]] = {}
+        partner = [-1] * len(units)
+        first: dict[int, int] = {}  # label -> position of its first pass
         try:
             for i, u in enumerate(units):
                 if u.kind not in (OVER, UNDER):
@@ -82,31 +91,29 @@ class GaussCode:
                     raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
                 if u.sign not in _SIGN_CHAR:
                     raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
-                label_pos.setdefault(label, []).append(i)
+                j = first.setdefault(label, i)
+                if j != i:  # the second pass pairs the chord, a third marks it unpairable
+                    partner[i], partner[j] = (j, i) if partner[j] == -1 else (-1, -2)
         except (AttributeError, TypeError):
             # Plain tuples and other foreign objects lack the Unit fields or
             # carry fields of the wrong type.
             raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
-        for label, pos in label_pos.items():
-            if len(pos) != 2:
+        for label, j in first.items():
+            if partner[j] < 0:  # seen once, or more than twice
+                count = sum(u.label == label for u in units)
                 raise GaussCodeError(
-                    f"label {label} appears {len(pos)} time(s), expected exactly twice"
+                    f"label {label} appears {count} time(s), expected exactly twice"
                 )
-            a, b = (units[p] for p in pos)
+            a, b = units[j], units[partner[j]]
             if a.kind == b.kind:
                 raise GaussCodeError(
                     f"label {label} passes {a.kind} twice (needs one O and one U)"
                 )
             if a.sign != b.sign:
                 raise GaussCodeError(f"label {label} carries two different signs")
-        unsigned_flags = {u.sign == UNSIGNED for u in units}
-        if len(unsigned_flags) > 1:
+        if len({units[j].sign == UNSIGNED for j in first.values()}) > 1:
             bad = next(u.label for u in units if u.sign == UNSIGNED)
             raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
-
-        partner = [0] * len(units)
-        for a, b in label_pos.values():
-            partner[a], partner[b] = b, a
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "partner", tuple(partner))
         object.__setattr__(self, "_orbits", None)
@@ -205,6 +212,8 @@ def parse_gauss(text: str) -> GaussCode:
     >>> parse_gauss("O1-U2-O3-U1-O2-U3-").n
     3
     """
+    if not isinstance(text, str):
+        raise GaussCodeError(f"Gauss code text must be a str, not {type(text).__name__}")
     i = _CODE_RE.match(text).end()
     if i < len(text):
         snippet = text[i : i + 8]

@@ -16,6 +16,7 @@ from .codes import (
     GaussCodeError,
     InternalInvariantError,
     Unit,
+    _label_key,
     _restrict,
     unit_order_key,
 )
@@ -154,7 +155,7 @@ def remove_chords(code: GaussCode, labels) -> GaussCode:
     labels = frozenset(labels)
     missing = labels - code.labels
     if missing:
-        raise GaussCodeError(f"unknown label {min(missing)}")
+        raise GaussCodeError(f"unknown label {min(missing, key=_label_key)}")
     return _restrict(code, [i for i, u in enumerate(code.units) if u.label not in labels])
 
 

@@ -54,6 +54,8 @@ class DtCode:
 
 def parse_dt(text: str) -> DtCode:
     """Parse whitespace-separated signed even integers."""
+    if not isinstance(text, str):
+        raise DtCodeError(f"DT code text must be a str, not {type(text).__name__}")
     entries = []
     for token in text.split():
         try:

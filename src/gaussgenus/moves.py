@@ -21,6 +21,7 @@ from .codes import (
     GaussCodeError,
     InternalInvariantError,
     Unit,
+    _label_key,
     _restrict,
 )
 # ``canonical_rotation`` and ``cycles`` are unused here but stay bound:
@@ -107,7 +108,7 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
     for b in enumerate_bridges(code):
         if frozenset(b.labels) == target:
             return b
-    pretty = ",".join(str(x) for x in sorted(target))
+    pretty = ",".join(str(x) for x in sorted(target, key=_label_key))
     raise GaussCodeError(f"labels {{{pretty}}} do not form a maximal bridge")
 
 

@@ -6,7 +6,8 @@ bridge replacement (both kinds, maximal bridges of at least
 ``min_bridge_len`` passes) followed by RII reduction.  One beam search
 expands them depth by depth, ordering nodes by (genus, crossing count,
 canonical serialization), so results do not depend on evaluation order, and
-stops at the first depth that adds no node.  A child's genus is read before
+stops at the first depth that adds no node.  A node is a plain tuple whose
+leading fields are that order.  A child's genus is read before
 canonicalization, where RII that cancels nothing leaves the circles
 ``bridge_replace`` already counted.
 """
@@ -14,6 +15,7 @@ canonicalization, where RII that cancels nothing leaves the circles
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import GaussCode, GaussCodeError, canonical_form
 from .cycles import genus
@@ -62,19 +64,15 @@ class SearchResult:
     duplicates_pruned: int
 
 
-@dataclass
-class _Node:
-    code: GaussCode  # a canonical form; the key of its node
+class _Node(NamedTuple):
+    # The leading fields are the node order; no two nodes share ``text``, so
+    # a comparison never reaches ``code``.
     genus: int
+    n: int
+    text: str  # the canonical serialization, built once per new node
+    code: GaussCode  # a canonical form; the key of its node
     parent: _Node | None
-    step: SearchStep | None = None
-
-    def __post_init__(self):
-        # Built once per node, so a duplicate child is never serialized.
-        self.order = (self.genus, self.code.n, self.code.serialize())
-
-    def __lt__(self, other: _Node) -> bool:
-        return self.order < other.order
+    step: SearchStep | None
 
 
 def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
@@ -89,7 +87,7 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
         raise GaussCodeError("search requires a fully signed code")
 
     root = canonical_form(code)
-    start = _Node(root, genus(root), parent=None)
+    start = _Node(genus(root), root.n, root.serialize(), root, None, None)
     nodes: dict[GaussCode, _Node] = {root: start}
     frontier = [start]
     expanded = 0
@@ -120,7 +118,7 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
                     genus_after=genus(reduced),
                     crossings_after=child.n,
                 )
-                new = _Node(child, step.genus_after, parent=node, step=step)
+                new = _Node(step.genus_after, child.n, child.serialize(), child, node, step)
                 nodes[child] = new
                 fresh.append(new)
         if not fresh:

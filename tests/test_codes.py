@@ -75,6 +75,12 @@ def test_parse_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text", [None, 42, b"O1+U1+"], ids=["none", "int", "bytes"])
+def test_parse_rejects_text_that_is_not_a_str(text):
+    with pytest.raises(GaussCodeError, match=f"must be a str, not {type(text).__name__}"):
+        parse_gauss(text)
+
+
 @pytest.mark.parametrize(
     "units",
     [

@@ -84,6 +84,15 @@ def test_remove_unknown_label():
         remove_chords(parse_gauss(TREFOIL), {9})
 
 
+def test_remove_unknown_labels_of_mixed_types():
+    # Unlike labels are not compared: ints are named first, by value.
+    code = parse_gauss(TREFOIL)
+    with pytest.raises(GaussCodeError, match="unknown label 99"):
+        remove_chords(code, ["a", 99])
+    with pytest.raises(GaussCodeError, match="unknown label a"):
+        remove_chords(code, ["a", 1])
+
+
 def test_chord_removal_prediction_fixtures():
     assert not chord_removal_drops_genus(parse_gauss(EIGHT_20), 4)
     assert not chord_removal_drops_genus(parse_gauss(TREFOIL), 1)

@@ -51,6 +51,13 @@ def test_parse_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text", [None, b"4 6 2"], ids=["none", "bytes"])
+def test_parse_rejects_text_that_is_not_a_str(text):
+    # Bytes split and convert like text, but are refused all the same.
+    with pytest.raises(DtCodeError, match=f"must be a str, not {type(text).__name__}"):
+        parse_dt(text)
+
+
 def test_empty_dt_code():
     assert dt_to_gauss(parse_dt("")).n == 0
 

@@ -7,11 +7,13 @@ every rotation scored in full, every phase of every circle tried, the genus
 counted from the printable decomposition, RII pairs cancelled one round at a
 time from the canonical base point, text scanned unit by unit, search nodes
 keyed by their serialization with every frontier re-sorted, each run read
-again by ``bridge_at`` and the bridges sorted, and the anchor of a bridge
-replacement found by walking left.  Codes derived from a valid code without
+again by ``bridge_at`` and the bridges sorted, the anchor of a bridge
+replacement found by walking left, and units validated through an index of
+each label's positions.  Codes derived from a valid code without
 re-validation are compared with the validated build of their units.
 """
 
+import collections
 import itertools
 import random
 
@@ -22,6 +24,7 @@ from gaussgenus import (
     OVER,
     POSITIVE,
     UNDER,
+    UNSIGNED,
     Bridge,
     GaussCode,
     GaussCodeError,
@@ -46,6 +49,7 @@ from gaussgenus import (
 from gaussgenus import moves
 from gaussgenus.codes import (
     _CHAR_SIGN,
+    _SIGN_CHAR,
     _SIGN_RANK,
     _UNIT_RE,
     canonical_rotation,
@@ -180,6 +184,42 @@ def reference_parse_gauss(text):
         units.append(Unit(kind, int(digits), _CHAR_SIGN[sign]))
         i = m.end()
     return GaussCode(units)
+
+
+def reference_validate(units):
+    """The validator that indexed every label's positions and paired the
+    chords in a later loop: ``(units, partner)`` of a valid code."""
+    units = tuple(units)
+    label_pos = {}
+    try:
+        for i, u in enumerate(units):
+            if u.kind not in (OVER, UNDER):
+                raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
+            label = u.label
+            if label < 1 or type(label) is not int:
+                raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
+            if u.sign not in _SIGN_CHAR:
+                raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
+            label_pos.setdefault(label, []).append(i)
+    except (AttributeError, TypeError):
+        raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
+    for label, pos in label_pos.items():
+        if len(pos) != 2:
+            raise GaussCodeError(
+                f"label {label} appears {len(pos)} time(s), expected exactly twice"
+            )
+        a, b = (units[p] for p in pos)
+        if a.kind == b.kind:
+            raise GaussCodeError(f"label {label} passes {a.kind} twice (needs one O and one U)")
+        if a.sign != b.sign:
+            raise GaussCodeError(f"label {label} carries two different signs")
+    if len({u.sign == UNSIGNED for u in units}) > 1:
+        bad = next(u.label for u in units if u.sign == UNSIGNED)
+        raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
+    partner = [0] * len(units)
+    for a, b in label_pos.values():
+        partner[a], partner[b] = b, a
+    return units, tuple(partner)
 
 
 def reference_enumerate_bridges(code, kind, min_len):
@@ -600,10 +640,106 @@ def test_parse_gauss_matches_unit_scan():
     assert min(outcomes.values()) > 500, outcomes
 
 
+_FOREIGN = [None, 7, "O1+", ("O", 1, POSITIVE), object()]
+_BAD_KINDS = ["X", "o", None, 0]
+_BAD_LABELS = [True, False, 1.0, 0.5, "1", 0, -3, None]
+_BAD_SIGNS = [2, "+", None, [], 0.5]
+
+
+def _mutated(rng, units):
+    """One violation of the unit invariants, or a harmless relabel."""
+    at = rng.randrange(len(units))
+    u = units[at]
+    if not isinstance(u, Unit):
+        return
+    edit = rng.randrange(12)
+    if edit == 0:  # the label is seen three times
+        units.insert(rng.randint(0, len(units)), u)
+    elif edit == 1:  # seen once
+        del units[at]
+    elif edit == 2:  # seen four times
+        k = rng.randint(0, len(units))
+        units[k:k] = [u, u.flipped()]
+    elif edit == 3:  # merges two labels or splits one
+        units[at] = u._replace(label=rng.randint(1, len(units) // 2 + 1))
+    elif edit == 4:
+        units[at] = u._replace(label=rng.choice(_BAD_LABELS))
+    elif edit == 5:
+        units[at] = rng.choice(_FOREIGN)
+    elif edit == 6:
+        units[at] = u._replace(kind=rng.choice(_BAD_KINDS))
+    elif edit == 7:
+        units[at] = u._replace(sign=rng.choice(_BAD_SIGNS))
+    elif edit == 8:  # the same pass twice
+        units[at] = u.flipped()
+    elif edit == 9:  # two different signs, unless True stands for POSITIVE
+        units[at] = u._replace(sign=rng.choice((POSITIVE, NEGATIVE, UNSIGNED, True)))
+    else:  # both passes of the label unsigned, or of every other label
+        units[:] = [
+            v._replace(sign=UNSIGNED)
+            if isinstance(v, Unit) and (v.label == u.label) == (edit == 10)
+            else v
+            for v in units
+        ]
+
+
+def _fuzz_unit_lists(count, seed=2584):
+    """Unit lists of random codes with no, one or several violations."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        units = list(random_code(rng, rng.randint(1, 7), signed=rng.random() < 0.7).units)
+        for _ in range(rng.choice((0, 1, 1, 2, 3, 5))):
+            if units:
+                _mutated(rng, units)
+        yield units
+
+
+def _built(units):
+    code = GaussCode(units)
+    return code.units, code.partner
+
+
+def _validated(validate, units):
+    try:
+        return validate(units)
+    except GaussCodeError as exc:
+        return str(exc)
+
+
+# A fragment of each message the fuzzed lists must provoke.
+_VIOLATIONS = (
+    "bad pass letter",
+    "(ints from 1)",
+    "bad sign value",
+    "not a Unit",
+    "appears 1 time",
+    "appears 3 time",
+    "appears 4 time",
+    "(needs one O and one U)",
+    "two different signs",
+    "mixed signedness",
+)
+
+
+def test_validation_matches_indexed_validator():
+    outcomes = collections.Counter()
+    for units in _fuzz_unit_lists(6000):
+        ours = _validated(_built, units)
+        assert ours == _validated(reference_validate, units), units
+        if type(ours) is tuple:
+            outcomes["valid"] += 1
+        else:  # labels seen five times or more are not counted
+            outcomes[next((v for v in _VIOLATIONS if v in ours), None)] += 1
+    assert min(outcomes[v] for v in ("valid",) + _VIOLATIONS) > 100, outcomes
+
+
 def _search_codes():
     rng = random.Random(6765)
     codes = [parse_gauss(EIGHT_20), random_code(rng, 4), random_code(rng, 6)]
-    return codes + [braid_knot_code(rng, max_strands=4, max_len=8) for _ in range(3)]
+    codes += [braid_knot_code(rng, max_strands=4, max_len=8) for _ in range(3)]
+    # Canonical forms with two-digit labels, where "10" sorts before "9"; on
+    # the padded braid (n = 12) that order decides between nodes.
+    return codes + [random_code(rng, 11), _padded_braid_codes()[22]]
 
 
 _SEARCH_GRID = list(
@@ -611,12 +747,14 @@ _SEARCH_GRID = list(
 )
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(8))
 def test_search_matches_string_keyed_search(index):
     code = _search_codes()[index]
     for beam, rii, strict, min_len, depth in _SEARCH_GRID:
         if code.n > 5 and beam is None and depth == 3:
             continue  # slow; exhaustive depth 3 is covered on the smaller codes
+        if code.n > 10 and (beam is None or depth == 3):
+            continue
         config = SearchConfig(
             max_depth=depth,
             beam_width=beam,

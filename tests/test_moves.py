@@ -107,6 +107,14 @@ def test_find_bridge_requires_maximal_label_set():
         find_bridge(code, (4, 1))
 
 
+def test_find_bridge_names_labels_of_mixed_types():
+    code = parse_gauss(TREFOIL)
+    with pytest.raises(GaussCodeError, match=r"labels \{1,x\} do not form"):
+        find_bridge(code, [1, "x"])
+    with pytest.raises(GaussCodeError, match=r"labels \{9,10\} do not form"):
+        find_bridge(code, [10, 9])
+
+
 # -- strict-decrease predicate -------------------------------------------
 
 
