@@ -54,7 +54,7 @@ class BandSurface:
 
 def band_surface(code: GaussCode) -> BandSurface:
     """Build the boundary graph of the band surface of ``code``."""
-    m = len(code.units)
+    m = len(code)
     arc = [0] * (2 * m)
     band = [0] * (2 * m)
     for i in range(m):

@@ -9,12 +9,16 @@ diagrams are first-class citizens.
 Text format: units are ``O`` or ``U``, decimal digits, then ``+`` or ``-``
 (``?`` for codes without sign data, as produced by DT import).  Whitespace
 between units is ignored, e.g. ``O1-U2-O3-U1-O2-U3-`` is a trefoil diagram.
+
+Inside the package a unit is one packed int, ``label << 2 | under << 1 |
+negative``; :class:`Unit` objects are built only where a caller reads them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from collections.abc import Mapping
+from typing import Iterable, Iterator, NamedTuple
 
 OVER = "O"
 UNDER = "U"
@@ -24,12 +28,22 @@ NEGATIVE = -1
 UNSIGNED = 0
 
 _SIGN_CHAR = {POSITIVE: "+", NEGATIVE: "-", UNSIGNED: "?"}
-_CHAR_SIGN = {"+": POSITIVE, "-": NEGATIVE, "?": UNSIGNED}
 _SIGN_RANK = {POSITIVE: 0, NEGATIVE: 1, UNSIGNED: 2}
 
 _UNIT_RE = re.compile(r"([OU])(\d+)([+\-?])")
 # A whole code; where a match stops short of the end, the text is malformed.
 _CODE_RE = re.compile(r"\s*(?:[OU]\d+[+\-?]\s*)*")
+
+# A packed unit is ``label << 2 | under << 1 | negative``.
+_UNDER_BIT = 2
+_NEGATIVE_BIT = 1
+# (pass letter, sign) of the low two bits, in a signed and an unsigned code.
+_KIND_SIGN = {
+    True: ((OVER, POSITIVE), (OVER, NEGATIVE), (UNDER, POSITIVE), (UNDER, NEGATIVE)),
+    False: ((OVER, UNSIGNED),) * 2 + ((UNDER, UNSIGNED),) * 2,
+}
+# The low two bits of a unit's pass letter and sign character in text.
+_LOW_BITS = {"O+": 0, "O-": 1, "O?": 0, "U+": 2, "U-": 3, "U?": 2}
 
 
 class GaussCodeError(ValueError):
@@ -59,9 +73,61 @@ def _label_key(label) -> tuple:
     return (0, label) if type(label) is int else (1, repr(label))
 
 
+def _label_set(labels) -> frozenset:
+    """``labels`` as a set, or GaussCodeError where it is not a set of labels."""
+    try:
+        return frozenset(labels)
+    except TypeError:  # not iterable, or holding unhashable items
+        raise GaussCodeError(f"labels must be an iterable of ints, not {labels!r}") from None
+
+
 def unit_order_key(unit: Unit) -> tuple[int, int, int]:
     """Total order on units: O before U, then label, then '+' before '-'."""
     return (0 if unit.kind == OVER else 1, unit.label, _SIGN_RANK[unit.sign])
+
+
+def _kind(c: int) -> str:
+    """The pass letter of a packed unit."""
+    return UNDER if c & _UNDER_BIT else OVER
+
+
+def _units_of(packed: Iterable[int], signed: bool) -> tuple[Unit, ...]:
+    """The :class:`Unit` objects of packed units."""
+    low = _KIND_SIGN[signed]
+    return tuple([Unit(low[c & 3][0], c >> 2, low[c & 3][1]) for c in packed])
+
+
+def _pair(packed: tuple[int, ...], mixed: list[bool] | None = None) -> tuple[int, ...]:
+    """The chord partner of every position, checking each label's passes.
+
+    One scan pairs each chord at its label's second pass; a third pass marks
+    the label unpairable.  The count, pass and sign checks then read one pair
+    per label, in order of first appearance.  ``mixed`` flags the unsigned
+    positions of a code that mixes signed and unsigned units; such a code is
+    refused once its labels pass.
+    """
+    partner = [-1] * len(packed)
+    first: dict[int, int] = {}  # label -> position of its first pass
+    for i, c in enumerate(packed):
+        j = first.setdefault(c >> 2, i)
+        if j != i:  # the second pass pairs the chord, a third marks it unpairable
+            partner[i], partner[j] = (j, i) if partner[j] == -1 else (-1, -2)
+    for label, j in first.items():
+        k = partner[j]
+        if k < 0:  # seen once, or more than twice
+            count = sum(c >> 2 == label for c in packed)
+            raise GaussCodeError(f"label {label} appears {count} time(s), expected exactly twice")
+        differ = packed[j] ^ packed[k]
+        if not differ & _UNDER_BIT:
+            raise GaussCodeError(
+                f"label {label} passes {_kind(packed[j])} twice (needs one O and one U)"
+            )
+        if differ & _NEGATIVE_BIT or (mixed is not None and mixed[j] != mixed[k]):
+            raise GaussCodeError(f"label {label} carries two different signs")
+    if mixed is not None:
+        bad = next(c >> 2 for c, flag in zip(packed, mixed) if flag)
+        raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
+    return tuple(partner)
 
 
 class GaussCode:
@@ -69,100 +135,117 @@ class GaussCode:
 
     The stored linearization is arbitrary; no basepoint is semantic.  Two
     codes are cyclically equivalent iff their :func:`canonical_form` values
-    compare equal.  Its Seifert circles (:func:`gaussgenus.cycles._circles`)
-    and its hash are kept on it after their first use; a derived code starts
-    without them.  Building one from units is a single scan that checks each
-    unit and pairs each chord at its second pass; the per-label checks then
-    read one pair per label.
+    compare equal.  ``packed`` holds one int per position, ``label << 2 |
+    under << 1 | negative``, and ``partner`` the position of the other pass
+    of the same chord; whether the signs are data is one flag for the whole
+    code.  ``units``, the :class:`Unit` objects, is built on first use, as
+    are the Seifert circles (:func:`gaussgenus.cycles._circles`) and the
+    hash; a derived code starts without them.
     """
 
-    __slots__ = ("units", "partner", "_orbits", "_hash")
+    __slots__ = ("packed", "partner", "_signed", "_units", "_orbits", "_hash")
 
     def __init__(self, units: Iterable[Unit]):
-        units = tuple(units)
-        partner = [-1] * len(units)
-        first: dict[int, int] = {}  # label -> position of its first pass
+        try:
+            units = tuple(units)
+        except TypeError:
+            raise GaussCodeError(
+                f"units must be an iterable of Units, not {type(units).__name__}"
+            ) from None
+        packed = []
+        unsigned = []
         try:
             for i, u in enumerate(units):
-                if u.kind not in (OVER, UNDER):
-                    raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
+                kind = u.kind
+                if kind not in (OVER, UNDER):
+                    raise GaussCodeError(f"bad pass letter {kind!r} at position {i}")
                 label = u.label
                 if label < 1 or type(label) is not int:  # 1.0 and True print apart
                     raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
-                if u.sign not in _SIGN_CHAR:
-                    raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
-                j = first.setdefault(label, i)
-                if j != i:  # the second pass pairs the chord, a third marks it unpairable
-                    partner[i], partner[j] = (j, i) if partner[j] == -1 else (-1, -2)
+                sign = u.sign
+                if sign not in _SIGN_CHAR:
+                    raise GaussCodeError(f"bad sign value {sign!r} at position {i}")
+                packed.append(label << 2 | (kind == UNDER) << 1 | (sign == NEGATIVE))
+                unsigned.append(sign == UNSIGNED)
         except (AttributeError, TypeError):
             # Plain tuples and other foreign objects lack the Unit fields or
             # carry fields of the wrong type.
             raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
-        for label, j in first.items():
-            if partner[j] < 0:  # seen once, or more than twice
-                count = sum(u.label == label for u in units)
-                raise GaussCodeError(
-                    f"label {label} appears {count} time(s), expected exactly twice"
-                )
-            a, b = units[j], units[partner[j]]
-            if a.kind == b.kind:
-                raise GaussCodeError(
-                    f"label {label} passes {a.kind} twice (needs one O and one U)"
-                )
-            if a.sign != b.sign:
-                raise GaussCodeError(f"label {label} carries two different signs")
-        if len({units[j].sign == UNSIGNED for j in first.values()}) > 1:
-            bad = next(u.label for u in units if u.sign == UNSIGNED)
-            raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "partner", tuple(partner))
+        packed = tuple(packed)
+        signed = not any(unsigned)
+        mixed = unsigned if not signed and not all(unsigned) else None
+        self._fill(packed, _pair(packed, mixed), signed)
+
+    def _fill(self, packed: tuple[int, ...], partner: tuple[int, ...], signed: bool) -> None:
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "_signed", signed or not packed)  # the empty code is signed
+        object.__setattr__(self, "_units", None)
         object.__setattr__(self, "_orbits", None)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _derived(cls, units: tuple[Unit, ...], partner: tuple[int, ...]) -> "GaussCode":
+    def _derived(
+        cls, packed: tuple[int, ...], partner: tuple[int, ...], signed: bool
+    ) -> "GaussCode":
         """A code mapped from a valid one without checks.
 
         Only for maps that keep every surviving chord whole: deleting whole
         chords, rotating, flipping passes, relabeling one to one.  ``partner``
-        must be what :meth:`__init__` would compute.
+        must be what :func:`_pair` would compute.
         """
         code = object.__new__(cls)
-        object.__setattr__(code, "units", units)
-        object.__setattr__(code, "partner", partner)
-        object.__setattr__(code, "_orbits", None)
-        object.__setattr__(code, "_hash", None)
+        code._fill(packed, partner, signed)
         return code
+
+    @classmethod
+    def _validated(
+        cls, packed: tuple[int, ...], signed: bool, mixed: list[bool] | None = None
+    ) -> "GaussCode":
+        """A code of packed units from text or from a move, checked as
+        :meth:`__init__` checks units; see :func:`_pair` for ``mixed``."""
+        return cls._derived(packed, _pair(packed, mixed), signed)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussCode is immutable")
 
     def __reduce__(self):
         # Pickles and copies rebuild through __init__, so unpickled data is
-        # validated like any outside input; the cached circles and hash are
-        # not state.
+        # validated like any outside input; the cached units, circles and
+        # hash are not state.
         return (GaussCode, (self.units,))
 
     # -- basic views ---------------------------------------------------
 
     @property
+    def units(self) -> tuple[Unit, ...]:
+        """The :class:`Unit` of every position, built on first use."""
+        if self._units is None:
+            object.__setattr__(self, "_units", _units_of(self.packed, self._signed))
+        return self._units
+
+    @property
     def n(self) -> int:
         """Number of crossings (chords)."""
-        return len(self.units) // 2
+        return len(self.packed) // 2
 
     def __len__(self) -> int:
-        return len(self.units)
+        return len(self.packed)
 
     def __iter__(self) -> Iterator[Unit]:
         return iter(self.units)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GaussCode) and self.units == other.units
+        return (
+            isinstance(other, GaussCode)
+            and self.packed == other.packed
+            and self._signed == other._signed
+        )
 
     def __hash__(self) -> int:
         # Search hashes each child twice, for the lookup and the insertion.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.units))
+            object.__setattr__(self, "_hash", hash(self.packed))
         return self._hash
 
     def __repr__(self) -> str:
@@ -171,36 +254,39 @@ class GaussCode:
     @property
     def signed(self) -> bool:
         """Whether the crossings carry signs; a valid code is never mixed."""
-        return not self.units or self.units[0].sign != UNSIGNED
+        return self._signed
 
     @property
     def labels(self) -> frozenset[int]:
-        return frozenset(u.label for u in self.units)
+        return frozenset([c >> 2 for c in self.packed])
 
     def positions_of(self, label: int) -> tuple[int, int]:
         """The two positions at which ``label`` is visited, in order (O(m))."""
-        for i, u in enumerate(self.units):
-            if u.label == label:
+        for i, c in enumerate(self.packed):
+            if c >> 2 == label:
                 return i, self.partner[i]
         raise GaussCodeError(f"unknown label {label}")
 
     def successor(self, position: int) -> int:
-        return (position + 1) % len(self.units)
+        return (position + 1) % len(self.packed)
 
     def rotated(self, offset: int) -> "GaussCode":
         """The same cyclic code linearized from ``offset``."""
-        m = len(self.units)
+        m = len(self.packed)
         if m == 0:
             return self
         offset %= m
-        return _rotate(self, offset, self.units[offset:] + self.units[:offset])
+        return _rotate(self, offset, self.packed[offset:] + self.packed[:offset])
 
     def serialize(self, start: int = 0) -> str:
         """Emit the units once around the cycle from ``start``, no separators."""
-        m = len(self.units)
+        m = len(self.packed)
         if m == 0:
             return ""
-        return "".join(str(self.units[(start + t) % m]) for t in range(m))
+        start %= m
+        heads, tails = "OOUU", ("+-+-" if self._signed else "????")  # by the low two bits
+        packed = self.packed[start:] + self.packed[:start]
+        return "".join([f"{heads[c & 3]}{c >> 2}{tails[c & 3]}" for c in packed])
 
     def __str__(self) -> str:
         return self.serialize()
@@ -218,11 +304,9 @@ def parse_gauss(text: str) -> GaussCode:
     if i < len(text):
         snippet = text[i : i + 8]
         raise GaussCodeError(f"malformed unit at offset {i}: {snippet!r}")
+    found = _UNIT_RE.findall(text)
     try:
-        units = [
-            Unit(kind, int(digits), _CHAR_SIGN[sign])
-            for kind, digits, sign in _UNIT_RE.findall(text)
-        ]
+        packed = tuple([int(digits) << 2 | _LOW_BITS[kind + sign] for kind, digits, sign in found])
     except ValueError:
         # int() refuses more digits than sys.get_int_max_str_digits().
         for m in _UNIT_RE.finditer(text):
@@ -234,7 +318,12 @@ def parse_gauss(text: str) -> GaussCode:
                     f"label at offset {m.start()} is too long ({len(digits)} digits)"
                 ) from None
         raise
-    return GaussCode(units)
+    if packed and min(packed) < 4:  # label 0
+        i = next(i for i, c in enumerate(packed) if c < 4)
+        raise GaussCodeError(f"label 0 at position {i} (ints from 1)")
+    unsigned = text.count("?")  # every '?' of a well-formed text is a sign
+    mixed = [sign == "?" for _, _, sign in found] if 0 < unsigned < len(packed) else None
+    return GaussCode._validated(packed, not unsigned, mixed)
 
 
 def canonical_rotation(code: GaussCode) -> int:
@@ -248,19 +337,26 @@ def canonical_rotation(code: GaussCode) -> int:
     codes, O(m * c) on a code whose c rotations tie, and never more than the
     O(m^2) of scoring every rotation.
     """
-    units = code.units
-    m = len(units)
+    packed = code.packed
+    m = len(packed)
     if m == 0:
         return 0
     partner = code.partner
     # One integer per unit orders like (kind, fresh label, sign): the label
-    # goes in at weight 4, above the sign rank and below the pass letter.
+    # goes in at weight 4, above the sign bit and below the pass letter.  An
+    # unsigned code's signs are all equal, so its sign bits (all 0) order it
+    # as its '?' ranks would.
     under_weight = 4 * (m + 1)
-    rank = [(under_weight if u.kind == UNDER else 0) + _SIGN_RANK[u.sign] for u in units]
-    fresh_at = [0] * m  # label given at each step of the shared prefix
-    next_fresh = 1
-    candidates = range(m)
-    for t in range(m):
+    rank = [(c & _UNDER_BIT) * (2 * (m + 1)) + (c & _NEGATIVE_BIT) for c in packed]
+    # Every label is fresh at the first step, where it gets label 1: the
+    # least ranks survive, and they are O units.
+    low = min(rank)
+    candidates = [r for r in range(m) if rank[r] == low]
+    if len(candidates) == 1:
+        return candidates[0]
+    fresh_at = [1] + [0] * (m - 1)  # label given at each step of the shared prefix
+    next_fresh = 2
+    for t in range(1, m):
         best = None
         survivors: list[int] = []
         for r in candidates:
@@ -291,14 +387,14 @@ def canonical_form(code: GaussCode) -> GaussCode:
 
     Mirror images and orientation reversal are deliberately not identified.
     """
-    m = len(code.units)
-    if m == 0:
+    packed = code.packed
+    if not packed:
         return code
     r = canonical_rotation(code)
-    relabel: dict[int, int] = {}
+    relabel: dict[int, int] = {}  # old label -> new label << 2
     out = tuple([
-        Unit(u.kind, relabel.setdefault(u.label, len(relabel) + 1), u.sign)
-        for u in code.units[r:] + code.units[:r]
+        relabel.setdefault(c >> 2, (len(relabel) + 1) << 2) | c & 3
+        for c in packed[r:] + packed[:r]
     ])
     return _rotate(code, r, out)
 
@@ -307,40 +403,44 @@ def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
     """Give every crossing of an unsigned code an explicit sign."""
     if code.signed and len(code) > 0:
         raise GaussCodeError("code is already signed")
+    if not isinstance(signs, Mapping):
+        raise GaussCodeError(f"signs must map labels to signs, not {type(signs).__name__}")
     out = []
-    for u in code.units:
-        if u.label not in signs:
-            raise GaussCodeError(f"label {u.label} unsigned")
-        sign = signs[u.label]
+    for c in code.packed:
+        label = c >> 2
+        if label not in signs:
+            raise GaussCodeError(f"label {label} unsigned")
+        sign = signs[label]
         if sign not in (POSITIVE, NEGATIVE):
-            raise GaussCodeError(f"sign for label {u.label} must be positive or negative")
-        out.append(Unit(u.kind, u.label, sign))
-    return GaussCode(out)
+            raise GaussCodeError(f"sign for label {label} must be positive or negative")
+        out.append(c | (sign == NEGATIVE))
+    return GaussCode._validated(tuple(out), signed=True)
 
 
 def flip_passes(code: GaussCode) -> GaussCode:
     """Interchange over and under everywhere (labels and signs unchanged)."""
-    units = tuple([u.flipped() for u in code.units])
-    return GaussCode._derived(units, code.partner)
+    packed = tuple([c ^ _UNDER_BIT for c in code.packed])
+    return GaussCode._derived(packed, code.partner, code.signed)
 
 
-def _rotate(code: GaussCode, r: int, units: tuple[Unit, ...]) -> GaussCode:
-    # ``units`` is ``code`` read from offset r, relabeled one to one or not.
+def _rotate(code: GaussCode, r: int, packed: tuple[int, ...]) -> GaussCode:
+    # ``packed`` is ``code`` read from offset r, relabeled one to one or not.
     partner = code.partner
     m = len(partner)
     rotated = tuple([(p - r) % m for p in partner[r:] + partner[:r]])
-    return GaussCode._derived(units, rotated)
+    return GaussCode._derived(packed, rotated, code.signed)
 
 
 def _restrict(code: GaussCode, keep: list[int]) -> GaussCode:
     """The code read only at the ascending positions ``keep``, which must
     hold both passes of every chord they touch."""
-    index = [0] * len(code.units)
+    packed = code.packed
+    partner = code.partner
+    index = [0] * len(packed)
     for t, p in enumerate(keep):
         index[p] = t
-    units = code.units
-    partner = code.partner
     return GaussCode._derived(
-        tuple([units[p] for p in keep]),
+        tuple([packed[p] for p in keep]),
         tuple([index[partner[p]] for p in keep]),
+        code.signed,
     )

@@ -12,20 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import (
+    _UNDER_BIT,
     GaussCode,
     GaussCodeError,
     InternalInvariantError,
     Unit,
     _label_key,
+    _label_set,
     _restrict,
-    unit_order_key,
+    _units_of,
 )
 
 
 def sigma_orbit(code: GaussCode, start: int) -> tuple[int, ...]:
     """Positions visited from ``start`` under jump-to-partner-then-step."""
     partner = code.partner
-    m = len(code.units)
+    m = len(partner)
     orbit = [start]
     x = (partner[start] + 1) % m
     while x != start:
@@ -34,24 +36,24 @@ def sigma_orbit(code: GaussCode, start: int) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def _walk(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
-    # Each orbit position's unit followed by its chord partner's unit.
-    units = code.units
+def _walk(code: GaussCode, orbit: tuple[int, ...]) -> list[int]:
+    # Each orbit position's packed unit followed by its chord partner's.
+    packed = code.packed
     partner = code.partner
     out = []
     for x in orbit:
-        out.append(units[x])
-        out.append(units[partner[x]])
-    return tuple(out)
+        out.append(packed[x])
+        out.append(packed[partner[x]])
+    return out
 
 
 def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
     # Recorded walk from the least phase.  Distinct positions carry distinct
     # (pass, label) pairs, so the phase whose first unit is least gives the
-    # least walk.
-    units = code.units
-    k = min(range(len(orbit)), key=lambda t: unit_order_key(units[orbit[t]]))
-    return _walk(code, orbit[k:] + orbit[:k])
+    # least walk; among units of one pass letter, packed ints order by label.
+    packed = code.packed
+    k = min(range(len(orbit)), key=lambda t: (packed[orbit[t]] & _UNDER_BIT, packed[orbit[t]]))
+    return _units_of(_walk(code, orbit[k:] + orbit[:k]), code.signed)
 
 
 def _circles(code: GaussCode) -> tuple[tuple[int, ...], int]:
@@ -121,7 +123,7 @@ def cycles(code: GaussCode) -> CycleDecomposition:
     >>> cycles(parse_gauss("O1-U2-O3-U1-O2-U3-")).s
     2
     """
-    m = len(code.units)
+    m = len(code)
     if m == 0:
         return CycleDecomposition(cycles=(Cycle((), ()),), arc_owner=())
     owner = _circles(code)[0]
@@ -152,11 +154,11 @@ def genus(code: GaussCode) -> int:
 
 def remove_chords(code: GaussCode, labels) -> GaussCode:
     """Delete both passes of every named crossing, keeping cyclic order."""
-    labels = frozenset(labels)
+    labels = _label_set(labels)
     missing = labels - code.labels
     if missing:
         raise GaussCodeError(f"unknown label {min(missing, key=_label_key)}")
-    return _restrict(code, [i for i, u in enumerate(code.units) if u.label not in labels])
+    return _restrict(code, [i for i, c in enumerate(code.packed) if c >> 2 not in labels])
 
 
 def chord_removal_drops_genus(code: GaussCode, label: int) -> bool:

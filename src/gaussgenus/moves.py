@@ -11,18 +11,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 from .codes import (
-    NEGATIVE,
+    _NEGATIVE_BIT,
+    _UNDER_BIT,
     OVER,
-    POSITIVE,
     UNDER,
     GaussCode,
     GaussCodeError,
     InternalInvariantError,
     Unit,
+    _kind,
     _label_key,
+    _label_set,
     _restrict,
+    _units_of,
 )
 # ``canonical_rotation`` and ``cycles`` are unused here but stay bound:
 # benchmarks/tracing.py rebinds them.
@@ -54,22 +58,26 @@ class Bridge:
 
 def bridge_at(code: GaussCode, start: int, length: int) -> Bridge:
     """The bridge occupying ``length`` positions from ``start``, maximal or not."""
-    units = code.units
-    m = len(units)
+    packed = code.packed
+    m = len(packed)
     if type(start) is not int or type(length) is not int:
         raise GaussCodeError(f"bridge start {start!r} and length {length!r} must be ints")
     if m == 0 or not 1 <= length <= m:
         raise GaussCodeError(f"no bridge of length {length} in a code of {m} units")
     start %= m
     positions = tuple((start + t) % m for t in range(length))
-    kind = units[start].kind
+    under = packed[start] & _UNDER_BIT
     for p in positions:
-        if units[p].kind != kind:
-            raise GaussCodeError(f"run at {start} mixes passes (position {p} is {units[p].kind})")
-    labels = tuple([units[p].label for p in positions])
+        if packed[p] & _UNDER_BIT != under:
+            kind = _kind(packed[p])
+            raise GaussCodeError(f"run at {start} mixes passes (position {p} is {kind})")
+    labels = tuple([packed[p] >> 2 for p in positions])
     # A valid code holds both pass letters, so no run fills the whole cycle.
-    maximal = units[start - 1].kind != kind and units[(start + length) % m].kind != kind
-    return Bridge(kind=kind, positions=positions, labels=labels, maximal=maximal)
+    maximal = (
+        packed[start - 1] & _UNDER_BIT != under
+        and packed[(start + length) % m] & _UNDER_BIT != under
+    )
+    return Bridge(kind=_kind(under), positions=positions, labels=labels, maximal=maximal)
 
 
 def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> list[Bridge]:
@@ -85,26 +93,26 @@ def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> 
         raise GaussCodeError(f"min_len must be an int, not {min_len!r}")
     if min_len < 1:
         raise GaussCodeError("min_len must be positive")
-    units = code.units
-    m = len(units)
+    packed = code.packed
+    m = len(packed)
     if m == 0:
         return []
-    starts = [i for i in range(m) if units[i].kind != units[i - 1].kind]
+    starts = [i for i in range(m) if (packed[i] ^ packed[i - 1]) & _UNDER_BIT]
     if starts[0]:  # position 0 lies inside the last run, which wraps
         starts.insert(0, starts.pop())
     bridges = []
     for st, nxt in zip(starts, starts[1:] + starts[:1]):
-        run = units[st].kind
+        run = _kind(packed[st])
         if (nxt - st) % m >= min_len and want in ("both", run):
             positions = tuple(range(st, nxt)) if st < nxt else (*range(st, m), *range(nxt))
-            labels = tuple([units[p].label for p in positions])
+            labels = tuple([packed[p] >> 2 for p in positions])
             bridges.append(Bridge(kind=run, positions=positions, labels=labels, maximal=True))
     return bridges
 
 
 def find_bridge(code: GaussCode, labels) -> Bridge:
     """The maximal bridge whose crossing set is exactly ``labels``."""
-    target = frozenset(labels)
+    target = _label_set(labels)
     for b in enumerate_bridges(code):
         if frozenset(b.labels) == target:
             return b
@@ -113,13 +121,44 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
 
 
 def _require_bridge(code: GaussCode, bridge: Bridge) -> None:
-    # Exactly the run that ``bridge_at`` reads from the first position, maximal or not.
+    # Exactly the bridge that ``bridge_at`` reads from its first position.
+    if not _is_bridge_of(code, bridge):
+        raise GaussCodeError("bridge not contained in code")
+
+
+def _is_bridge_of(code: GaussCode, bridge: Bridge) -> bool:
+    # O(k): consecutive int positions from one in range, one pass letter and
+    # the labels read there, maximal exactly when neither flanking unit has
+    # that letter.
+    packed = code.packed
+    m = len(packed)
     positions = bridge.positions
-    if positions and all(type(p) is int for p in positions):
-        found = bridge_at(code, positions[0], len(positions))
-        if (found.kind, found.positions, found.labels) == (bridge.kind, positions, bridge.labels):
-            return
-    raise GaussCodeError("bridge not contained in code")
+    if type(positions) is not tuple or not positions or {*map(type, positions)} != {int}:
+        return False
+    start = positions[0]
+    end = start + len(positions)
+    if not 0 <= start < m or end - start > m:
+        return False
+    if end <= m:
+        if positions != tuple(range(start, end)):
+            return False
+        run = packed[start:end]
+    else:
+        if positions != (*range(start, m), *range(end - m)):
+            return False
+        run = packed[start:] + packed[: end - m]
+    if bridge.kind == OVER:
+        under = 0
+    elif bridge.kind == UNDER:
+        under = _UNDER_BIT
+    else:
+        return False
+    return (
+        [c & _UNDER_BIT for c in run] == [under] * len(run)
+        and bridge.labels == tuple([c >> 2 for c in run])
+        and bridge.maximal
+        == (packed[start - 1] & _UNDER_BIT != under and packed[end % m] & _UNDER_BIT != under)
+    )
 
 
 def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:
@@ -134,10 +173,13 @@ def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:
 
 def _bypass(owner: tuple[int, ...], bridge: Bridge) -> bool:
     # The arc after position i is traversed by circle ``owner[i + 1]``, so
-    # these positions stand for the k+1 arcs around the bridge.
+    # the k+1 positions from the bridge's first stand for the k+1 arcs
+    # around its k consecutive passes.
     m = len(owner)
-    ends = [bridge.positions[0], *((p + 1) % m for p in bridge.positions)]
-    return len({owner[x] for x in ends}) < len(ends)
+    start = bridge.positions[0]
+    end = start + len(bridge.positions) + 1
+    ends = owner[start:end] if end <= m else owner[start:] + owner[: end - m]
+    return len(set(ends)) < len(ends)
 
 
 def knotoid_genus(code: GaussCode, bridge: Bridge) -> int:
@@ -148,15 +190,29 @@ def knotoid_genus(code: GaussCode, bridge: Bridge) -> int:
 
 @dataclass(frozen=True)
 class MoveOutcome:
-    """Full provenance of one bridge replacement."""
+    """Full provenance of one bridge replacement.
+
+    ``packed_guide`` is the guide walk as packed units (see
+    :class:`~gaussgenus.codes.GaussCode`), empty when the bridge held every
+    crossing; ``anchor`` and ``guide`` build its units when read.
+    """
 
     result: GaussCode
     removed_labels: tuple[int, ...]
-    anchor: Unit | None
-    guide: tuple[Unit, ...]
+    packed_guide: tuple[int, ...]
     pattern_labels: tuple[int, ...]
     inserted_labels: tuple[int, ...]
     strict_decrease_predicted: bool
+
+    @property
+    def anchor(self) -> Unit | None:
+        """The last kept unit before the bridge, where the guide starts."""
+        return _units_of(self.packed_guide[:1], True)[0] if self.packed_guide else None
+
+    @property
+    def guide(self) -> tuple[Unit, ...]:
+        """The guide cycle read from the anchor, its closing unit left off."""
+        return _units_of(self.packed_guide, True)  # a replaced code is signed
 
     def guide_text(self) -> str:
         return "".join(str(u) for u in self.guide)
@@ -173,75 +229,81 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     if not code.signed:
         raise GaussCodeError("bridge replacement requires a fully signed code")
     _require_bridge(code, bridge)
-    top = bridge.kind
-    bottom = UNDER if top == OVER else OVER
+    top = _UNDER_BIT if bridge.kind == UNDER else 0  # the bridge's pass bit
+    bottom = top ^ _UNDER_BIT
     doomed = frozenset(bridge.labels)
     removed = tuple(sorted(doomed))
     strict = _bypass(_circles(code)[0], bridge)
-    kept = [i for i, u in enumerate(code.units) if u.label not in doomed]
+    packed = code.packed
+    kept = [i for i, c in enumerate(packed) if c >> 2 not in doomed]
     trimmed = _restrict(code, kept)
     if not kept:  # the bridge held every crossing: the result is the unknot
-        unknot = MoveOutcome(
-            trimmed, removed, anchor=None, guide=(), pattern_labels=(), inserted_labels=(),
-            strict_decrease_predicted=strict,
-        )
+        unknot = MoveOutcome(trimmed, removed, (), (), (), strict)
         return _checked(code, trimmed, unknot)
 
     # Anchor X: the last kept unit cyclically before the bridge, by bisection.
     mm = len(kept)
     xc = (bisect_left(kept, bridge.positions[0]) - 1) % mm
+    units = trimmed.packed
     partner = trimmed.partner
 
     # Guide cycle: the circle running along the arc just after X, i.e. the
     # one through the gap the removed bridge used to occupy.  Present it
     # from X, so its first step is that arc; the walk closes back at X.
     orbit = sigma_orbit(trimmed, (xc + 1) % mm)
-    guide = (trimmed.units[xc],) + _walk(trimmed, orbit)[:-1]
+    guide = (units[xc], *_walk(trimmed, orbit)[:-1])
 
     # Pattern crossings: chord steps of the guide, scanned leftward from X,
     # where the new bridge must cross the interval.  A '+' crossing matches
     # when stepped from the bridge's pass letter to the other one, a '-'
-    # crossing the other way; each chord matches in at most one direction,
-    # so pattern labels stay distinct.
-    patterns = []
-    for x in reversed(orbit):
-        u = trimmed.units[x]
-        if (u.sign == POSITIVE and u.kind == top) or (u.sign == NEGATIVE and u.kind == bottom):
-            patterns.append((u.label, x, partner[x]))
+    # crossing the other way: its pass bit differs from the bridge's exactly
+    # when its sign bit is set.  Each chord matches in at most one
+    # direction, so pattern labels stay distinct.
+    patterns = [
+        (units[x] >> 2, x, partner[x])
+        for x in reversed(orbit)
+        if ((units[x] ^ top) & _UNDER_BIT) >> 1 == units[x] & _NEGATIVE_BIT
+    ]
     k = len(patterns)
     if len({a for a, _, _ in patterns}) != k:
         raise _broken("pattern crossings are not pairwise distinct", code, removed)
 
-    base = max(u.label for u in code.units)
-    block = [Unit(top, base + t, NEGATIVE if t % 2 else POSITIVE) for t in range(1, 2 * k + 1)]
-    after: dict[int, Unit] = {}
-    before: dict[int, Unit] = {}
+    # New crossings base+1 .. base+2k: the block after X alternates '-',
+    # '+' from its first pass; pattern j gets the '-' pass of crossing
+    # base+2j-1 right after its partner pass and the '+' pass of base+2j
+    # right before its pass on the guide.
+    base = max(packed) >> 2  # the largest label
+    block = [(base + t) << 2 | top | t & _NEGATIVE_BIT for t in range(1, 2 * k + 1)]
+    after: dict[int, int] = {}
+    before: dict[int, int] = {}
     for j, (_, q1, q2) in enumerate(patterns, start=1):
-        after[q2] = Unit(bottom, base + 2 * j - 1, NEGATIVE)
-        before[(q1 - 1) % mm] = Unit(bottom, base + 2 * j, POSITIVE)
+        after[q2] = (base + 2 * j - 1) << 2 | bottom | _NEGATIVE_BIT
+        before[(q1 - 1) % mm] = (base + 2 * j) << 2 | bottom
 
-    out: list[Unit] = []
-    for t in range(mm):
-        out.append(trimmed.units[t])
+    out: list[int] = []
+    done = 0  # units[:done] are placed
+    for t in sorted({xc, *after, *before}):
+        out += units[done : t + 1]
         if t in after:
             out.append(after[t])
         if t == xc:
-            out.extend(block)
+            out += block
         if t in before:
             out.append(before[t])
-    result = GaussCode(out)
+        done = t + 1
+    out += units[done:]
+    result = GaussCode._validated(tuple(out), signed=True)
 
     return _checked(
         code,
         trimmed,
         MoveOutcome(
-            result=result,
-            removed_labels=removed,
-            anchor=trimmed.units[xc],
-            guide=guide,
-            pattern_labels=tuple(a for a, _, _ in patterns),
-            inserted_labels=tuple(range(base + 1, base + 2 * k + 1)),
-            strict_decrease_predicted=strict,
+            result,
+            removed,
+            guide,
+            tuple([a for a, _, _ in patterns]),
+            tuple(range(base + 1, base + 2 * k + 1)),
+            strict,
         ),
     )
 
@@ -289,20 +351,20 @@ def rii_reduce(code: GaussCode) -> GaussCode:
     """
     if not code.signed:
         raise GaussCodeError("RII reduction requires a fully signed code")
-    units = code.units
+    packed = code.packed
     partner = code.partner
-    m = len(units)
-    over = [u.kind == OVER for u in units]
-    nxt = [(t + 1) % m for t in range(m)]
-    prv = [(t - 1) % m for t in range(m)]
+    m = len(packed)
+    over = [not c & _UNDER_BIT for c in packed]
+    nxt = [*range(1, m), 0]
+    prv = [m - 1, *range(m - 1)]
     alive = [True] * m
-    work = [t for t in range(m - 1, -1, -1) if over[t]]  # least position pops first
+    work = list(compress(range(m - 1, -1, -1), reversed(over)))  # least position pops first
     while work:
         i = work.pop()
         if not alive[i]:
             continue
         j = nxt[i]
-        if not over[j] or units[i].sign == units[j].sign:
+        if not over[j] or not (packed[i] ^ packed[j]) & _NEGATIVE_BIT:  # equal signs
             continue
         a, b = partner[i], partner[j]
         if nxt[a] != b and nxt[b] != a:
@@ -319,4 +381,4 @@ def rii_reduce(code: GaussCode) -> GaussCode:
                 work.append(y if over[y] else partner[y])
     if all(alive):
         return code
-    return _restrict(code, [t for t in range(m) if alive[t]])
+    return _restrict(code, list(compress(range(m), alive)))

@@ -1,13 +1,14 @@
 """Genus minimization by iterated bridge replacement and RII cleanup.
 
 Nodes of the move graph are canonical forms, keyed by the code itself, so a
-duplicate child is dropped before it is serialized.  Children apply one
-bridge replacement (both kinds, maximal bridges of at least
-``min_bridge_len`` passes) followed by RII reduction.  One beam search
-expands them depth by depth, ordering nodes by (genus, crossing count,
-canonical serialization), so results do not depend on evaluation order, and
-stops at the first depth that adds no node.  A node is a plain tuple whose
-leading fields are that order.  A child's genus is read before
+duplicate child is dropped by one hash lookup.  Children apply one bridge
+replacement (both kinds, maximal bridges of at least ``min_bridge_len``
+passes) followed by RII reduction.  One beam search expands them depth by
+depth, ordering nodes by (genus, crossing count, canonical serialization),
+so results do not depend on evaluation order, and stops at the first depth
+that adds no node.  A node is a plain tuple whose leading fields are that
+order; an int tuple (:func:`_order_key`) stands in for the serialization,
+so no node is serialized.  A child's genus is read before
 canonicalization, where RII that cancels nothing leaves the circles
 ``bridge_replace`` already counted.
 """
@@ -15,9 +16,10 @@ canonicalization, where RII that cancels nothing leaves the circles
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
-from .codes import GaussCode, GaussCodeError, canonical_form
+from .codes import _NEGATIVE_BIT, _UNDER_BIT, GaussCode, GaussCodeError, canonical_form
 from .cycles import genus
 from .moves import bridge_replace, enumerate_bridges, rii_reduce, strictly_decreases
 
@@ -64,12 +66,37 @@ class SearchResult:
     duplicates_pruned: int
 
 
+@lru_cache(maxsize=64)
+def _unit_keys(n: int) -> tuple[int, ...]:
+    # Indexed by a packed unit of a signed code labelled 1..n: an int that
+    # orders like the unit's text, by pass letter, then the label's decimal
+    # string (``lexrank``), then '+' before '-'.
+    lexrank = [0] * (n + 1)
+    for rank, label in enumerate(sorted(range(1, n + 1), key=str)):
+        lexrank[label] = rank
+    return tuple([
+        (c & _UNDER_BIT) * n + 2 * lexrank[c >> 2] + (c & _NEGATIVE_BIT) for c in range(4 * n + 4)
+    ])
+
+
+def _order_key(code: GaussCode) -> tuple[int, ...]:
+    """An int tuple ordered exactly as the serialization, among signed
+    codes with n crossings labelled 1..n, as canonical forms are.
+
+    Where one label's digits are a prefix of another's, the text goes on
+    with a sign ('+' or '-') against a digit, and signs sort before digits:
+    so units compare as (pass letter, label string, sign), one int each.
+    """
+    keys = _unit_keys(code.n)
+    return tuple([keys[c] for c in code.packed])
+
+
 class _Node(NamedTuple):
-    # The leading fields are the node order; no two nodes share ``text``, so
+    # The leading fields are the node order; no two nodes share ``key``, so
     # a comparison never reaches ``code``.
     genus: int
     n: int
-    text: str  # the canonical serialization, built once per new node
+    key: tuple[int, ...]  # _order_key of the code, built once per new node
     code: GaussCode  # a canonical form; the key of its node
     parent: _Node | None
     step: SearchStep | None
@@ -87,7 +114,7 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
         raise GaussCodeError("search requires a fully signed code")
 
     root = canonical_form(code)
-    start = _Node(genus(root), root.n, root.serialize(), root, None, None)
+    start = _Node(genus(root), root.n, _order_key(root), root, None, None)
     nodes: dict[GaussCode, _Node] = {root: start}
     frontier = [start]
     expanded = 0
@@ -118,7 +145,7 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
                     genus_after=genus(reduced),
                     crossings_after=child.n,
                 )
-                new = _Node(step.genus_after, child.n, child.serialize(), child, node, step)
+                new = _Node(step.genus_after, child.n, _order_key(child), child, node, step)
                 nodes[child] = new
                 fresh.append(new)
         if not fresh:

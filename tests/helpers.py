@@ -34,6 +34,8 @@ def assert_as_validated(derived):
     """A code built without checks equals the validated build of its units."""
     validated = GaussCode(derived.units)
     assert type(derived.units) is tuple, derived
+    assert type(derived.packed) is tuple, derived
+    assert derived.packed == validated.packed, derived
     assert derived.partner == validated.partner, derived
     assert derived.labels == validated.labels, derived
     for label in validated.labels:

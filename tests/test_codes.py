@@ -17,8 +17,10 @@ from gaussgenus import (
     Unit,
     attach_signs,
     canonical_form,
+    find_bridge,
     flip_passes,
     parse_gauss,
+    remove_chords,
 )
 from helpers import EIGHT_20, TREFOIL, random_code
 
@@ -233,11 +235,63 @@ def test_code_pickles_and_copies():
         pickle.loads(pickle.dumps(Forged()))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda code: GaussCode(None),
+        lambda code: GaussCode(5),
+        lambda code: remove_chords(code, 5),
+        lambda code: remove_chords(code, [[1]]),
+        lambda code: find_bridge(code, [[1]]),
+        lambda code: attach_signs(parse_gauss("O1?U2?O3?U1?O2?U3?"), None),
+    ],
+    ids=[
+        "units-none",
+        "units-int",
+        "labels-int",
+        "labels-unhashable",
+        "bridge-labels-unhashable",
+        "signs-none",
+    ],
+)
+def test_arguments_of_the_wrong_shape_raise_gauss_code_error(call):
+    with pytest.raises(GaussCodeError):
+        call(parse_gauss(TREFOIL))
+
+
+def test_signed_and_unsigned_codes_with_the_same_letters_differ():
+    signed = parse_gauss("O1+U2+O3+U1+O2+U3+")
+    unsigned = parse_gauss("O1?U2?O3?U1?O2?U3?")
+    assert signed.packed == unsigned.packed  # '+' and '?' both leave the sign bit clear
+    assert signed != unsigned
+    assert parse_gauss("") == GaussCode(()) and parse_gauss("").signed
+
+
+def test_units_are_built_on_first_read_and_kept():
+    code = parse_gauss(EIGHT_20)
+    assert code._units is None
+    units = code.units
+    assert units is code.units and units == tuple(code)
+    assert str(code) == "".join(str(u) for u in units) == EIGHT_20
+    for derived in (canonical_form(code), code.rotated(3), flip_passes(code)):
+        assert derived._units is None  # a derived code reads its own packed ints
+
+
+def test_codes_survive_pickling_unchanged():
+    rng = random.Random(2357)
+    codes = [random_code(rng, rng.randint(0, 30), signed=rng.random() < 0.7) for _ in range(60)]
+    for code in codes + [parse_gauss(EIGHT_20)]:
+        twin = pickle.loads(pickle.dumps(code))
+        assert twin == code
+        assert (twin.packed, twin.partner, twin.signed) == (code.packed, code.partner, code.signed)
+        assert twin.serialize() == code.serialize()
+
+
 def test_hash_is_cached_on_the_code():
     code = parse_gauss(EIGHT_20)
     assert code._hash is None
-    assert hash(code) == hash(code.units) == code._hash
+    assert hash(code) == hash(code.packed) == code._hash
     for derived in (canonical_form(code), code.rotated(3), flip_passes(code)):
         assert derived._hash is None  # a derived code hashes its own units
-        assert hash(derived) == hash(derived.units)
+        assert hash(derived) == hash(derived.packed)
     assert pickle.loads(pickle.dumps(code))._hash is None

@@ -11,8 +11,15 @@ again by ``bridge_at`` and the bridges sorted, the anchor of a bridge
 replacement found by walking left, and units validated through an index of
 each label's positions.  Codes derived from a valid code without
 re-validation are compared with the validated build of their units.
+
+The kernels that now run on packed ints are compared with their Unit
+versions: validation of Unit fields, the canonical relabel, the RII
+worklist, and the open diagram, guide and inserted block of a bridge
+replacement.  The int tuple that orders search nodes is compared with the
+serialization it stands for.
 """
 
+import bisect
 import collections
 import itertools
 import random
@@ -48,7 +55,6 @@ from gaussgenus import (
 )
 from gaussgenus import moves
 from gaussgenus.codes import (
-    _CHAR_SIGN,
     _SIGN_CHAR,
     _SIGN_RANK,
     _UNIT_RE,
@@ -56,6 +62,7 @@ from gaussgenus.codes import (
     unit_order_key,
 )
 from gaussgenus.cycles import sigma_orbit
+from gaussgenus.search import _order_key
 from helpers import (
     EIGHT_20,
     RII_PAIR,
@@ -68,6 +75,8 @@ from helpers import (
 )
 
 # -- reference implementations ------------------------------------------------
+
+_CHAR_SIGN = {"+": POSITIVE, "-": NEGATIVE, "?": UNSIGNED}
 
 
 def _rotation_key(code, offset):
@@ -183,6 +192,7 @@ def reference_parse_gauss(text):
         kind, digits, sign = m.groups()
         units.append(Unit(kind, int(digits), _CHAR_SIGN[sign]))
         i = m.end()
+    unit_validate(units)  # the Unit validator's message wins
     return GaussCode(units)
 
 
@@ -302,6 +312,129 @@ def reference_search(code, config):
     trace.reverse()
     best_code, best_genus = nodes[best_key][:2]
     return SearchResult(best_code, best_genus, tuple(trace), expanded, pruned)
+
+
+# -- the Unit kernels the packed-int kernels replaced ---------------------------
+
+
+def unit_validate(units):
+    """The one-scan validator on Unit fields: ``(units, partner)`` of a valid
+    code, the chords paired at their second pass."""
+    units = tuple(units)
+    partner = [-1] * len(units)
+    first = {}
+    try:
+        for i, u in enumerate(units):
+            if u.kind not in (OVER, UNDER):
+                raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
+            label = u.label
+            if label < 1 or type(label) is not int:
+                raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
+            if u.sign not in _SIGN_CHAR:
+                raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
+            j = first.setdefault(label, i)
+            if j != i:
+                partner[i], partner[j] = (j, i) if partner[j] == -1 else (-1, -2)
+    except (AttributeError, TypeError):
+        raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
+    for label, j in first.items():
+        if partner[j] < 0:
+            count = sum(u.label == label for u in units)
+            raise GaussCodeError(f"label {label} appears {count} time(s), expected exactly twice")
+        a, b = units[j], units[partner[j]]
+        if a.kind == b.kind:
+            raise GaussCodeError(f"label {label} passes {a.kind} twice (needs one O and one U)")
+        if a.sign != b.sign:
+            raise GaussCodeError(f"label {label} carries two different signs")
+    if len({units[j].sign == UNSIGNED for j in first.values()}) > 1:
+        bad = next(u.label for u in units if u.sign == UNSIGNED)
+        raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
+    return units, tuple(partner)
+
+
+def unit_canonical_form(code):
+    """The units of the canonical form, relabeled through Unit objects."""
+    units = code.units
+    if not units:
+        return ()
+    r = canonical_rotation(code)
+    relabel = {}
+    return tuple(
+        Unit(u.kind, relabel.setdefault(u.label, len(relabel) + 1), u.sign)
+        for u in units[r:] + units[:r]
+    )
+
+
+def unit_rii_reduce(code):
+    """The one-pass RII worklist reading pass letters and signs off Units:
+    the units of the reduced code."""
+    units = code.units
+    partner = code.partner
+    m = len(units)
+    over = [u.kind == OVER for u in units]
+    nxt = [(t + 1) % m for t in range(m)]
+    prv = [(t - 1) % m for t in range(m)]
+    alive = [True] * m
+    work = [t for t in range(m - 1, -1, -1) if over[t]]
+    while work:
+        i = work.pop()
+        if not alive[i]:
+            continue
+        j = nxt[i]
+        if not over[j] or units[i].sign == units[j].sign:
+            continue
+        a, b = partner[i], partner[j]
+        if nxt[a] != b and nxt[b] != a:
+            continue
+        for r in (i, j, a, b):
+            p, q = prv[r], nxt[r]
+            nxt[p] = q
+            prv[q] = p
+            alive[r] = False
+            for y in (p, q):
+                work.append(y if over[y] else partner[y])
+    return tuple(units[t] for t in range(m) if alive[t])
+
+
+def unit_bridge_replace(code, bridge):
+    """Bridge replacement with the open diagram, guide and inserted block
+    built from Unit objects: (result units, anchor, guide, pattern labels,
+    inserted labels)."""
+    top = bridge.kind
+    bottom = UNDER if top == OVER else OVER
+    doomed = set(bridge.labels)
+    kept = [i for i, u in enumerate(code.units) if u.label not in doomed]
+    trimmed = GaussCode([code.units[i] for i in kept])
+    if not kept:
+        return (), None, (), (), ()
+    mm = len(kept)
+    xc = (bisect.bisect_left(kept, bridge.positions[0]) - 1) % mm
+    orbit = sigma_orbit(trimmed, (xc + 1) % mm)
+    guide = (trimmed.units[xc],) + _interleave(trimmed, orbit)[:-1]
+    patterns = []
+    for x in reversed(orbit):
+        u = trimmed.units[x]
+        if (u.sign == POSITIVE and u.kind == top) or (u.sign == NEGATIVE and u.kind == bottom):
+            patterns.append((u.label, x, trimmed.partner[x]))
+    k = len(patterns)
+    base = max(u.label for u in code.units)
+    block = [Unit(top, base + t, NEGATIVE if t % 2 else POSITIVE) for t in range(1, 2 * k + 1)]
+    after = {}
+    before = {}
+    for j, (_, q1, q2) in enumerate(patterns, start=1):
+        after[q2] = Unit(bottom, base + 2 * j - 1, NEGATIVE)
+        before[(q1 - 1) % mm] = Unit(bottom, base + 2 * j, POSITIVE)
+    out = []
+    for t in range(mm):
+        out.append(trimmed.units[t])
+        if t in after:
+            out.append(after[t])
+        if t == xc:
+            out.extend(block)
+        if t in before:
+            out.append(before[t])
+    inserted = tuple(range(base + 1, base + 2 * k + 1))
+    return tuple(out), trimmed.units[xc], guide, tuple(a for a, _, _ in patterns), inserted
 
 
 # -- corpus ------------------------------------------------------------------
@@ -468,6 +601,39 @@ def test_rii_reduce_matches_round_by_round(corpus):
     assert cancelled > 0  # every corpus exercises cancellation
 
 
+@pytest.mark.parametrize("corpus", sorted(RII_CORPORA))
+def test_rii_reduce_matches_unit_worklist(corpus):
+    for code in RII_CORPORA[corpus]():
+        assert rii_reduce(code).units == unit_rii_reduce(code), code
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_canonical_relabel_matches_unit_relabel(corpus):
+    for code in CORPORA[corpus]():
+        assert canonical_form(code).units == unit_canonical_form(code), code
+
+
+def test_bridge_replace_matches_unit_block():
+    replaced = 0
+    for corpora in (CORPORA, RII_CORPORA):
+        for corpus in sorted(corpora):
+            for code in corpora[corpus]():
+                if not code.signed or code.n > 12:
+                    continue
+                for bridge in enumerate_bridges(code):
+                    outcome = bridge_replace(code, bridge)
+                    ours = (
+                        outcome.result.units,
+                        outcome.anchor,
+                        outcome.guide,
+                        outcome.pattern_labels,
+                        outcome.inserted_labels,
+                    )
+                    assert ours == unit_bridge_replace(code, bridge), (code, bridge)
+                    replaced += 1
+    assert replaced > 3000
+
+
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_derived_codes_match_validated_build(corpus):
     rng = random.Random(len(corpus) + 1)
@@ -565,8 +731,11 @@ def test_require_bridge_accepts_exactly_the_runs_of_the_code():
                 part = bridge_at(code, bridge.positions[1], length - 1)
                 assert not part.maximal
                 moves._require_bridge(code, part)
-                # Reversed, the run is no run.
-                wrongs = [Bridge(bridge.kind, bridge.positions[::-1], bridge.labels[::-1], True)]
+                # Reversed, the run is no run; a part of a run is not maximal.
+                wrongs = [
+                    Bridge(bridge.kind, bridge.positions[::-1], bridge.labels[::-1], True),
+                    Bridge(part.kind, part.positions, part.labels, True),
+                ]
             else:
                 wrongs = []
             other = UNDER if bridge.kind == OVER else OVER
@@ -578,6 +747,7 @@ def test_require_bridge_accepts_exactly_the_runs_of_the_code():
                 Bridge(bridge.kind, bridge.positions, relabelled, True),
                 Bridge(bridge.kind, bridge.positions, bridge.labels[:-1], True),
                 Bridge(bridge.kind, (), (), True),
+                Bridge(bridge.kind, bridge.positions, bridge.labels, False),  # it is maximal
             ]
             for wrong in wrongs:
                 with pytest.raises(GaussCodeError):
@@ -726,11 +896,68 @@ def test_validation_matches_indexed_validator():
     for units in _fuzz_unit_lists(6000):
         ours = _validated(_built, units)
         assert ours == _validated(reference_validate, units), units
+        assert ours == _validated(unit_validate, units), units
         if type(ours) is tuple:
             outcomes["valid"] += 1
         else:  # labels seen five times or more are not counted
             outcomes[next((v for v in _VIOLATIONS if v in ours), None)] += 1
     assert min(outcomes[v] for v in ("valid",) + _VIOLATIONS) > 100, outcomes
+
+
+def _text_prefix_tie(a, b):
+    """Whether the first units in which two codes differ have one pass
+    letter and labels one of whose decimal strings begins the other."""
+    for u, v in zip(a.units, b.units):
+        if u != v:
+            x, y = str(u.label), str(v.label)
+            return u.kind == v.kind and x != y and (x.startswith(y) or y.startswith(x))
+    return False
+
+
+def _swapped(code, a, b):
+    """``code`` with labels a and b interchanged."""
+    swap = {a: b, b: a}
+    return GaussCode([u._replace(label=swap.get(u.label, u.label)) for u in code.units])
+
+
+# Labels whose decimal strings begin one another, across 9/10 and 99/100.
+_PREFIX_SWAPS = {12: ((1, 10), (1, 12), (2, 12)), 105: ((1, 10), (10, 100), (1, 105), (10, 104))}
+
+
+def _key_corpus():
+    """Signed codes labelled 1..n grouped by crossing count: canonical
+    random codes whose labels cross 9/10 (n = 12) and 99/100 (n = 105),
+    each also with two labels interchanged whose decimal strings begin one
+    another, and the search codes with every child of their canonical
+    forms."""
+    rng = random.Random(9091)
+    groups = collections.defaultdict(set)
+    for n, count in ((12, 150), (105, 40)):
+        for _ in range(count):
+            code = canonical_form(random_code(rng, n))
+            groups[n].add(code)
+            groups[n].update(_swapped(code, a, b) for a, b in _PREFIX_SWAPS[n])
+    for code in _search_codes():
+        root = canonical_form(code)
+        groups[root.n].add(root)
+        for bridge in enumerate_bridges(root):
+            child = canonical_form(rii_reduce(bridge_replace(root, bridge).result))
+            groups[child.n].add(child)
+    return groups
+
+
+def test_node_order_key_orders_like_serialization():
+    pairs = ties = 0
+    for codes in _key_corpus().values():
+        keyed = [(_order_key(code), code.serialize(), code) for code in codes]
+        for (key_a, text_a, a), (key_b, text_b, b) in itertools.combinations(keyed, 2):
+            assert (key_a < key_b) == (text_a < text_b), (a, b)
+            assert (key_a == key_b) == (text_a == text_b), (a, b)
+            pairs += 1
+            ties += _text_prefix_tie(a, b)
+    # The order is decided by a label against a longer one it begins (1
+    # against 10, 10 against 100) in enough pairs to matter.
+    assert pairs > 10000 and ties > 100, (pairs, ties)
 
 
 def _search_codes():
