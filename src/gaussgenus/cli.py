@@ -48,7 +48,7 @@ def _read_text(value: str) -> str:
 
 def _labels(value: str) -> tuple[int, ...]:
     try:
-        labels = tuple(int(x) for x in value.split(",") if x.strip())
+        labels = tuple([int(x) for x in value.split(",") if x.strip()])
     except ValueError:
         raise GaussCodeError(f"bad label list {value!r}") from None
     if not labels:

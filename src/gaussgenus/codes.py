@@ -81,6 +81,11 @@ def _label_set(labels) -> frozenset:
         raise GaussCodeError(f"labels must be an iterable of ints, not {labels!r}") from None
 
 
+def _require_int(name: str, value) -> None:
+    if type(value) is not int:  # 1.5, "1" and True alike
+        raise GaussCodeError(f"{name} must be an int, not {value!r}")
+
+
 def unit_order_key(unit: Unit) -> tuple[int, int, int]:
     """Total order on units: O before U, then label, then '+' before '-'."""
     return (0 if unit.kind == OVER else 1, unit.label, _SIGN_RANK[unit.sign])
@@ -268,10 +273,12 @@ class GaussCode:
         raise GaussCodeError(f"unknown label {label}")
 
     def successor(self, position: int) -> int:
+        _require_int("position", position)
         return (position + 1) % len(self.packed)
 
     def rotated(self, offset: int) -> "GaussCode":
         """The same cyclic code linearized from ``offset``."""
+        _require_int("offset", offset)
         m = len(self.packed)
         if m == 0:
             return self
@@ -280,6 +287,7 @@ class GaussCode:
 
     def serialize(self, start: int = 0) -> str:
         """Emit the units once around the cycle from ``start``, no separators."""
+        _require_int("start", start)
         m = len(self.packed)
         if m == 0:
             return ""

@@ -132,7 +132,7 @@ def cycles(code: GaussCode) -> CycleDecomposition:
         if owner[i] == len(found):  # least position of the next circle
             orbit = sigma_orbit(code, i)
             found.append(Cycle(orbit=orbit, recorded=_recorded(code, orbit)))
-    arc_owner = tuple(owner[(i + 1) % m] for i in range(m))
+    arc_owner = owner[1:] + owner[:1]  # the arc after position i is on owner[i + 1]
     return CycleDecomposition(cycles=tuple(found), arc_owner=arc_owner)
 
 

@@ -56,28 +56,36 @@ class Bridge:
         return len(self.positions)
 
 
+def _cyclic(seq, start: int, length: int):
+    # ``length`` <= len(seq) items of ``seq`` from ``start`` < len(seq): one
+    # slice, or two where they wrap past the end.
+    over = start + length - len(seq)
+    return seq[start : start + length] if over <= 0 else (*seq[start:], *seq[:over])
+
+
+def _run(code: GaussCode, start: int, length: int) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    # The positions of the ``length`` units from ``start``, those packed
+    # units, and whether both flanking units differ in pass from the first.
+    packed = code.packed
+    run = _cyclic(packed, start, length)
+    flanks = (packed[start - 1] ^ run[0]) & (packed[(start + length) % len(packed)] ^ run[0])
+    return tuple(_cyclic(range(len(packed)), start, length)), run, bool(flanks & _UNDER_BIT)
+
+
 def bridge_at(code: GaussCode, start: int, length: int) -> Bridge:
     """The bridge occupying ``length`` positions from ``start``, maximal or not."""
-    packed = code.packed
-    m = len(packed)
+    m = len(code.packed)
     if type(start) is not int or type(length) is not int:
         raise GaussCodeError(f"bridge start {start!r} and length {length!r} must be ints")
     if m == 0 or not 1 <= length <= m:
         raise GaussCodeError(f"no bridge of length {length} in a code of {m} units")
     start %= m
-    positions = tuple((start + t) % m for t in range(length))
-    under = packed[start] & _UNDER_BIT
-    for p in positions:
-        if packed[p] & _UNDER_BIT != under:
-            kind = _kind(packed[p])
-            raise GaussCodeError(f"run at {start} mixes passes (position {p} is {kind})")
-    labels = tuple([packed[p] >> 2 for p in positions])
-    # A valid code holds both pass letters, so no run fills the whole cycle.
-    maximal = (
-        packed[start - 1] & _UNDER_BIT != under
-        and packed[(start + length) % m] & _UNDER_BIT != under
-    )
-    return Bridge(kind=_kind(under), positions=positions, labels=labels, maximal=maximal)
+    positions, run, maximal = _run(code, start, length)
+    under = run[0] & _UNDER_BIT
+    for p, c in zip(positions, run):
+        if c & _UNDER_BIT != under:
+            raise GaussCodeError(f"run at {start} mixes passes (position {p} is {_kind(c)})")
+    return Bridge(_kind(under), positions, tuple([c >> 2 for c in run]), maximal)
 
 
 def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> list[Bridge]:
@@ -102,11 +110,10 @@ def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> 
         starts.insert(0, starts.pop())
     bridges = []
     for st, nxt in zip(starts, starts[1:] + starts[:1]):
-        run = _kind(packed[st])
-        if (nxt - st) % m >= min_len and want in ("both", run):
-            positions = tuple(range(st, nxt)) if st < nxt else (*range(st, m), *range(nxt))
-            labels = tuple([packed[p] >> 2 for p in positions])
-            bridges.append(Bridge(kind=run, positions=positions, labels=labels, maximal=True))
+        letter, length = _kind(packed[st]), (nxt - st) % m
+        if length >= min_len and want in ("both", letter):
+            positions, run, _ = _run(code, st, length)
+            bridges.append(Bridge(letter, positions, tuple([c >> 2 for c in run]), True))
     return bridges
 
 
@@ -121,44 +128,30 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
 
 
 def _require_bridge(code: GaussCode, bridge: Bridge) -> None:
-    # Exactly the bridge that ``bridge_at`` reads from its first position.
-    if not _is_bridge_of(code, bridge):
-        raise GaussCodeError("bridge not contained in code")
-
-
-def _is_bridge_of(code: GaussCode, bridge: Bridge) -> bool:
-    # O(k): consecutive int positions from one in range, one pass letter and
-    # the labels read there, maximal exactly when neither flanking unit has
-    # that letter.
-    packed = code.packed
-    m = len(packed)
+    # Exactly the bridge that ``bridge_at`` reads from its first position,
+    # checked in O(k) on the run read there, without building it.
+    if not isinstance(bridge, Bridge):
+        raise GaussCodeError(f"bridge must be a Bridge, not {bridge!r}")
+    m = len(code.packed)
     positions = bridge.positions
-    if type(positions) is not tuple or not positions or {*map(type, positions)} != {int}:
-        return False
-    start = positions[0]
-    end = start + len(positions)
-    if not 0 <= start < m or end - start > m:
-        return False
-    if end <= m:
-        if positions != tuple(range(start, end)):
-            return False
-        run = packed[start:end]
-    else:
-        if positions != (*range(start, m), *range(end - m)):
-            return False
-        run = packed[start:] + packed[: end - m]
-    if bridge.kind == OVER:
-        under = 0
-    elif bridge.kind == UNDER:
-        under = _UNDER_BIT
-    else:
-        return False
-    return (
-        [c & _UNDER_BIT for c in run] == [under] * len(run)
-        and bridge.labels == tuple([c >> 2 for c in run])
-        and bridge.maximal
-        == (packed[start - 1] & _UNDER_BIT != under and packed[end % m] & _UNDER_BIT != under)
-    )
+    if (
+        bridge.kind not in (OVER, UNDER)
+        or type(positions) is not tuple
+        or not positions
+        or {*map(type, positions)} != {int}
+        or not 0 <= positions[0] < m
+        or len(positions) > m
+    ):
+        raise GaussCodeError("bridge not contained in code")
+    under = _UNDER_BIT if bridge.kind == UNDER else 0
+    run_positions, run, maximal = _run(code, positions[0], len(positions))
+    if (
+        positions != run_positions
+        or [c & _UNDER_BIT for c in run] != [under] * len(run)
+        or bridge.labels != tuple([c >> 2 for c in run])
+        or bridge.maximal != maximal
+    ):
+        raise GaussCodeError("bridge not contained in code")
 
 
 def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:
@@ -175,10 +168,7 @@ def _bypass(owner: tuple[int, ...], bridge: Bridge) -> bool:
     # The arc after position i is traversed by circle ``owner[i + 1]``, so
     # the k+1 positions from the bridge's first stand for the k+1 arcs
     # around its k consecutive passes.
-    m = len(owner)
-    start = bridge.positions[0]
-    end = start + len(bridge.positions) + 1
-    ends = owner[start:end] if end <= m else owner[start:] + owner[: end - m]
+    ends = _cyclic(owner, bridge.positions[0], len(bridge.positions) + 1)
     return len(set(ends)) < len(ends)
 
 

@@ -10,7 +10,9 @@ that adds no node.  A node is a plain tuple whose leading fields are that
 order; an int tuple (:func:`_order_key`) stands in for the serialization,
 so no node is serialized.  A child's genus is read before
 canonicalization, where RII that cancels nothing leaves the circles
-``bridge_replace`` already counted.
+``bridge_replace`` already counted.  A node records only the move that
+made it, (bridge, pattern labels, RII pairs cancelled); the
+:class:`SearchStep` records are built for the returned path alone.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class _Node(NamedTuple):
     key: tuple[int, ...]  # _order_key of the code, built once per new node
     code: GaussCode  # a canonical form; the key of its node
     parent: _Node | None
-    step: SearchStep | None
+    move: tuple | None  # (bridge, pattern_labels, rii_cancelled) from the parent
 
 
 def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
@@ -129,23 +131,14 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
                     continue
                 outcome = bridge_replace(node.code, bridge)
                 reduced = outcome.result
-                cancelled = 0
                 if config.apply_rii:
                     reduced = rii_reduce(reduced)
-                    cancelled = (outcome.result.n - reduced.n) // 2
                 child = canonical_form(reduced)
                 if child in nodes:
                     pruned += 1
                     continue
-                step = SearchStep(
-                    bridge_kind=bridge.kind,
-                    bridge_labels=bridge.labels,
-                    pattern_labels=outcome.pattern_labels,
-                    rii_cancelled=cancelled,
-                    genus_after=genus(reduced),
-                    crossings_after=child.n,
-                )
-                new = _Node(step.genus_after, child.n, _order_key(child), child, node, step)
+                move = (bridge, outcome.pattern_labels, (outcome.result.n - reduced.n) // 2)
+                new = _Node(genus(reduced), child.n, _order_key(child), child, node, move)
                 nodes[child] = new
                 fresh.append(new)
         if not fresh:
@@ -157,7 +150,9 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
     trace: list[SearchStep] = []
     node = best
     while node.parent is not None:
-        trace.append(node.step)
+        bridge, patterns, cancelled = node.move
+        step = SearchStep(bridge.kind, bridge.labels, patterns, cancelled, node.genus, node.n)
+        trace.append(step)
         node = node.parent
     trace.reverse()
     return SearchResult(

@@ -109,6 +109,22 @@ def test_constructor_rejects_labels_that_are_not_ints(units, position):
         GaussCode(units)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda code: code.rotated(1.5), "offset"),
+        (lambda code: code.rotated("1"), "offset"),
+        (lambda code: code.rotated(True), "offset"),
+        (lambda code: code.serialize("a"), "start"),
+        (lambda code: code.successor(1.5), "position"),
+    ],
+    ids=["rotated-float", "rotated-str", "rotated-bool", "serialize-str", "successor-float"],
+)
+def test_offsets_that_are_not_ints_are_rejected(call, name):
+    with pytest.raises(GaussCodeError, match=f"{name} must be an int, not "):
+        call(parse_gauss(TREFOIL))
+
+
 # int() refuses text of more than 4300 digits by default, where it has a limit.
 int_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"

@@ -756,6 +756,31 @@ def test_require_bridge_accepts_exactly_the_runs_of_the_code():
     assert checked > 5000
 
 
+def test_bridge_entries_read_one_run():
+    # bridge_at, enumerate_bridges and the caller-bridge check agree on every
+    # short run of every code.
+    read = mixed = 0
+    for corpora in (CORPORA, RII_CORPORA):
+        for corpus in sorted(corpora):
+            for code in corpora[corpus]():
+                m = len(code)
+                for start in range(m):
+                    for length in range(1, min(m, 6) + 1):
+                        try:
+                            bridge = bridge_at(code, start, length)
+                        except GaussCodeError as exc:
+                            assert "mixes passes" in str(exc), (code, start, length)
+                            mixed += 1
+                            continue
+                        moves._require_bridge(code, bridge)
+                        flanks = {code.units[start - 1].kind, code.units[(start + length) % m].kind}
+                        assert bridge.maximal == (bridge.kind not in flanks), (code, bridge)
+                        read += 1
+                for b in enumerate_bridges(code):
+                    assert b == bridge_at(code, b.positions[0], len(b)), (code, b)
+    assert read > 10000 and mixed > 10000, (read, mixed)
+
+
 _SPACES = " \t\n\x1c\u00a0\u2003\u3000"
 # Letters, digits (also non-ASCII: Arabic-Indic three, fullwidth one, and a
 # superscript two that is no decimal digit), signs, spaces and junk.
@@ -990,3 +1015,39 @@ def test_search_matches_string_keyed_search(index):
             only_strict=strict,
         )
         assert search(code, config) == reference_search(code, config), (code, config)
+
+
+@pytest.mark.parametrize(
+    "beam, rii, strict, min_len, depth",
+    [
+        (None, True, False, 1, 2),
+        (3, True, False, 1, 3),
+        (1, False, False, 1, 3),
+        (3, True, True, 2, 3),
+    ],
+)
+def test_move_trace_replays_from_the_root(beam, rii, strict, min_len, depth):
+    # Each step's bridge, replaced, RII-reduced where the config says so and
+    # canonicalized, gives the step's fields and the next code on the path.
+    config = SearchConfig(
+        max_depth=depth, beam_width=beam, min_bridge_len=min_len, apply_rii=rii, only_strict=strict
+    )
+    steps = 0
+    for code in _search_codes():
+        result = search(code, config)
+        current = canonical_form(code)
+        for step in result.move_trace:
+            (bridge,) = [
+                b for b in enumerate_bridges(current, step.bridge_kind, min_len)
+                if b.labels == step.bridge_labels
+            ]
+            outcome = bridge_replace(current, bridge)
+            reduced = rii_reduce(outcome.result) if rii else outcome.result
+            current = canonical_form(reduced)
+            assert step.pattern_labels == outcome.pattern_labels, (code, config, step)
+            assert step.rii_cancelled == (outcome.result.n - reduced.n) // 2, (code, config, step)
+            assert (step.genus_after, step.crossings_after) == (genus(current), current.n)
+            steps += 1
+        assert current == result.best_code, (code, config)
+        assert genus(current) == result.best_genus
+    assert steps >= len(_search_codes()), steps

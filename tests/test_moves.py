@@ -99,6 +99,20 @@ def test_bridge_arguments_that_are_not_ints_are_rejected(call):
         call(parse_gauss(EIGHT_20))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda code: bridge_replace(code, None),
+        lambda code: strictly_decreases(code, "x"),
+        lambda code: knotoid_genus(code, None),
+    ],
+    ids=["replace-none", "strict-str", "knotoid-none"],
+)
+def test_bridge_that_is_not_a_bridge_is_rejected(call):
+    with pytest.raises(GaussCodeError, match="bridge must be a Bridge, not "):
+        call(parse_gauss(EIGHT_20))
+
+
 def test_find_bridge_requires_maximal_label_set():
     code = parse_gauss(EIGHT_20)
     assert find_bridge(code, (4, 5)).positions == (3, 4)
