@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import GaussCode, InternalInvariantError
+from .codes import GaussCode, InternalInvariantError, _require_code
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ class BandSurface:
 
 def band_surface(code: GaussCode) -> BandSurface:
     """Build the boundary graph of the band surface of ``code``."""
+    _require_code(code)
     m = len(code)
     arc = [0] * (2 * m)
     band = [0] * (2 * m)

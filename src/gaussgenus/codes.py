@@ -28,7 +28,6 @@ NEGATIVE = -1
 UNSIGNED = 0
 
 _SIGN_CHAR = {POSITIVE: "+", NEGATIVE: "-", UNSIGNED: "?"}
-_SIGN_RANK = {POSITIVE: 0, NEGATIVE: 1, UNSIGNED: 2}
 
 _UNIT_RE = re.compile(r"([OU])(\d+)([+\-?])")
 # A whole code; where a match stops short of the end, the text is malformed.
@@ -81,14 +80,15 @@ def _label_set(labels) -> frozenset:
         raise GaussCodeError(f"labels must be an iterable of ints, not {labels!r}") from None
 
 
+def _require_code(code) -> None:
+    """GaussCodeError unless ``code`` is a :class:`GaussCode`."""
+    if not isinstance(code, GaussCode):
+        raise GaussCodeError(f"code must be a GaussCode, not {type(code).__name__}")
+
+
 def _require_int(name: str, value) -> None:
     if type(value) is not int:  # 1.5, "1" and True alike
         raise GaussCodeError(f"{name} must be an int, not {value!r}")
-
-
-def unit_order_key(unit: Unit) -> tuple[int, int, int]:
-    """Total order on units: O before U, then label, then '+' before '-'."""
-    return (0 if unit.kind == OVER else 1, unit.label, _SIGN_RANK[unit.sign])
 
 
 def _kind(c: int) -> str:
@@ -337,13 +337,13 @@ def parse_gauss(text: str) -> GaussCode:
 def canonical_rotation(code: GaussCode) -> int:
     """The rotation offset whose relabeled serialization is least.
 
-    Relabeling is by first appearance from the offset; units compare as in
-    :func:`unit_order_key`, and ties go to the least offset.  Offsets are
-    eliminated step by step: after step t the surviving offsets share the
-    relabeled prefix of length t, so one step-to-label table serves all of
-    them.  The cost is the sum of the survivor counts: about O(m) on random
-    codes, O(m * c) on a code whose c rotations tie, and never more than the
-    O(m^2) of scoring every rotation.
+    Relabeling is by first appearance from the offset; units compare by
+    pass letter (O before U), then label, then sign ('+' before '-'), and
+    ties go to the least offset.  Offsets are eliminated step by step: after
+    step t the surviving offsets share the relabeled prefix of length t, so
+    one step-to-label table serves all of them.  The cost is the sum of the
+    survivor counts: about O(m) on random codes, O(m * c) on a code whose c
+    rotations tie, and never more than the O(m^2) of scoring every rotation.
     """
     packed = code.packed
     m = len(packed)
@@ -395,6 +395,7 @@ def canonical_form(code: GaussCode) -> GaussCode:
 
     Mirror images and orientation reversal are deliberately not identified.
     """
+    _require_code(code)
     packed = code.packed
     if not packed:
         return code
@@ -409,6 +410,7 @@ def canonical_form(code: GaussCode) -> GaussCode:
 
 def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
     """Give every crossing of an unsigned code an explicit sign."""
+    _require_code(code)
     if code.signed and len(code) > 0:
         raise GaussCodeError("code is already signed")
     if not isinstance(signs, Mapping):
@@ -427,6 +429,7 @@ def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
 
 def flip_passes(code: GaussCode) -> GaussCode:
     """Interchange over and under everywhere (labels and signs unchanged)."""
+    _require_code(code)
     packed = tuple([c ^ _UNDER_BIT for c in code.packed])
     return GaussCode._derived(packed, code.partner, code.signed)
 

@@ -19,6 +19,7 @@ from .codes import (
     Unit,
     _label_key,
     _label_set,
+    _require_code,
     _restrict,
     _units_of,
 )
@@ -123,6 +124,7 @@ def cycles(code: GaussCode) -> CycleDecomposition:
     >>> cycles(parse_gauss("O1-U2-O3-U1-O2-U3-")).s
     2
     """
+    _require_code(code)
     m = len(code)
     if m == 0:
         return CycleDecomposition(cycles=(Cycle((), ()),), arc_owner=())
@@ -142,6 +144,7 @@ def genus(code: GaussCode) -> int:
     Sign and pass data do not matter; only the chord pairing does.  Linear
     in the code length: counting circles builds no printable walks.
     """
+    _require_code(code)
     s = _circles(code)[1]
     doubled = code.n - s + 1
     if doubled % 2 or doubled < 0:
@@ -153,12 +156,19 @@ def genus(code: GaussCode) -> int:
 
 
 def remove_chords(code: GaussCode, labels) -> GaussCode:
-    """Delete both passes of every named crossing, keeping cyclic order."""
+    """Delete both passes of every named crossing, keeping cyclic order.
+
+    Given a bridge's labels, this is the open (knotoid) diagram of its
+    replacement.  Each known label drops two positions, so the code's label
+    set is built only when fewer drop, to name the unknown label.
+    """
+    _require_code(code)
     labels = _label_set(labels)
-    missing = labels - code.labels
-    if missing:
+    keep = [i for i, c in enumerate(code.packed) if c >> 2 not in labels]
+    if len(code.packed) - len(keep) != 2 * len(labels):
+        missing = labels - code.labels
         raise GaussCodeError(f"unknown label {min(missing, key=_label_key)}")
-    return _restrict(code, [i for i, c in enumerate(code.packed) if c >> 2 not in labels])
+    return _restrict(code, keep)
 
 
 def chord_removal_drops_genus(code: GaussCode, label: int) -> bool:
@@ -167,6 +177,7 @@ def chord_removal_drops_genus(code: GaussCode, label: int) -> bool:
     True iff both passes of the crossing lie on a single circle of the
     decomposition; otherwise the genus is unchanged.
     """
+    _require_code(code)
     a, b = code.positions_of(label)
     owner = _circles(code)[0]
     return owner[a] == owner[b]

@@ -72,6 +72,8 @@ def dt_to_gauss(dt: DtCode) -> GaussCode:
     over pass at the even visit.  Genus does not depend on that convention,
     bridge kinds do.
     """
+    if not isinstance(dt, DtCode):
+        raise DtCodeError(f"DT code must be a DtCode, not {type(dt).__name__}")
     units: list[Unit | None] = [None] * (2 * dt.n)
     for i, e in enumerate(dt.entries, start=1):
         over_at_even = e < 0

@@ -9,7 +9,6 @@ All operations are pure; codes are immutable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
@@ -25,6 +24,7 @@ from .codes import (
     _kind,
     _label_key,
     _label_set,
+    _require_code,
     _restrict,
     _units_of,
 )
@@ -74,6 +74,7 @@ def _run(code: GaussCode, start: int, length: int) -> tuple[tuple[int, ...], tup
 
 def bridge_at(code: GaussCode, start: int, length: int) -> Bridge:
     """The bridge occupying ``length`` positions from ``start``, maximal or not."""
+    _require_code(code)
     m = len(code.packed)
     if type(start) is not int or type(length) is not int:
         raise GaussCodeError(f"bridge start {start!r} and length {length!r} must be ints")
@@ -94,6 +95,7 @@ def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> 
     Each run of equal pass letters, found by one scan, is one bridge; they
     come in order of least position, so a run wrapping past the end is first.
     """
+    _require_code(code)
     want = _KIND_ALIASES.get(kind) if type(kind) is str else None
     if want is None:
         raise GaussCodeError(f"bad bridge kind {kind!r}")
@@ -130,6 +132,7 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
 def _require_bridge(code: GaussCode, bridge: Bridge) -> None:
     # Exactly the bridge that ``bridge_at`` reads from its first position,
     # checked in O(k) on the run read there, without building it.
+    _require_code(code)
     if not isinstance(bridge, Bridge):
         raise GaussCodeError(f"bridge must be a Bridge, not {bridge!r}")
     m = len(code.packed)
@@ -216,25 +219,25 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     bridge is replaced exactly as the over bridge of the mirror image
     (:func:`flip_passes`) would be, with every pass letter interchanged.
     """
+    _require_bridge(code, bridge)
     if not code.signed:
         raise GaussCodeError("bridge replacement requires a fully signed code")
-    _require_bridge(code, bridge)
     top = _UNDER_BIT if bridge.kind == UNDER else 0  # the bridge's pass bit
     bottom = top ^ _UNDER_BIT
-    doomed = frozenset(bridge.labels)
-    removed = tuple(sorted(doomed))
+    removed = tuple(sorted(bridge.labels))
     strict = _bypass(_circles(code)[0], bridge)
-    packed = code.packed
-    kept = [i for i, c in enumerate(packed) if c >> 2 not in doomed]
-    trimmed = _restrict(code, kept)
-    if not kept:  # the bridge held every crossing: the result is the unknot
+    trimmed = remove_chords(code, bridge.labels)  # the open diagram
+    units = trimmed.packed
+    mm = len(units)
+    if not mm:  # the bridge held every crossing: the result is the unknot
         unknot = MoveOutcome(trimmed, removed, (), (), (), strict)
         return _checked(code, trimmed, unknot)
 
-    # Anchor X: the last kept unit cyclically before the bridge, by bisection.
-    mm = len(kept)
-    xc = (bisect_left(kept, bridge.positions[0]) - 1) % mm
-    units = trimmed.packed
+    # Anchor X: the last kept unit cyclically before the bridge's first
+    # position p, whose index is p less the removed positions before p.
+    p = bridge.positions[0]
+    gone = [*bridge.positions, *[code.partner[q] for q in bridge.positions]]
+    xc = (p - sum([q < p for q in gone]) - 1) % mm
     partner = trimmed.partner
 
     # Guide cycle: the circle running along the arc just after X, i.e. the
@@ -262,7 +265,7 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     # '+' from its first pass; pattern j gets the '-' pass of crossing
     # base+2j-1 right after its partner pass and the '+' pass of base+2j
     # right before its pass on the guide.
-    base = max(packed) >> 2  # the largest label
+    base = max(code.packed) >> 2  # the largest label
     block = [(base + t) << 2 | top | t & _NEGATIVE_BIT for t in range(1, 2 * k + 1)]
     after: dict[int, int] = {}
     before: dict[int, int] = {}
@@ -339,6 +342,7 @@ def rii_reduce(code: GaussCode) -> GaussCode:
     different label.  So rotations of one code reduce to codes with equal
     :func:`canonical_form`, though the surviving labels may differ.
     """
+    _require_code(code)
     if not code.signed:
         raise GaussCodeError("RII reduction requires a fully signed code")
     packed = code.packed

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .codes import _NEGATIVE_BIT, _UNDER_BIT, GaussCode, GaussCodeError, canonical_form
+from .codes import (
+    _NEGATIVE_BIT,
+    _UNDER_BIT,
+    GaussCode,
+    GaussCodeError,
+    _require_code,
+    canonical_form,
+)
 from .cycles import genus
 from .moves import bridge_replace, enumerate_bridges, rii_reduce, strictly_decreases
 
@@ -110,8 +117,11 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
     Best means least (genus, crossing count, canonical serialization) over
     every node reached, the input included.
     """
+    _require_code(code)
     if config is None:
         config = SearchConfig()
+    if not isinstance(config, SearchConfig):
+        raise GaussCodeError(f"config must be a SearchConfig, not {type(config).__name__}")
     if not code.signed:
         raise GaussCodeError("search requires a fully signed code")
 

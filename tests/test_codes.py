@@ -10,17 +10,33 @@ import pytest
 from gaussgenus import (
     NEGATIVE,
     OVER,
+    POSITIVE,
     UNDER,
     UNSIGNED,
+    DtCodeError,
     GaussCode,
     GaussCodeError,
     Unit,
     attach_signs,
+    band_surface,
+    boundary_components,
+    bridge_at,
+    bridge_replace,
     canonical_form,
+    chord_removal_drops_genus,
+    cycles,
+    dt_to_gauss,
+    enumerate_bridges,
     find_bridge,
     flip_passes,
+    genus,
+    genus_oracle,
+    knotoid_genus,
     parse_gauss,
     remove_chords,
+    rii_reduce,
+    search,
+    strictly_decreases,
 )
 from helpers import EIGHT_20, TREFOIL, random_code
 
@@ -311,3 +327,40 @@ def test_hash_is_cached_on_the_code():
         assert derived._hash is None  # a derived code hashes its own units
         assert hash(derived) == hash(derived.packed)
     assert pickle.loads(pickle.dumps(code))._hash is None
+
+
+_BRIDGE = bridge_at(parse_gauss(TREFOIL), 0, 1)
+
+# Each public entry that takes a code, called with a foreign object in its
+# place, and the error it must raise.
+_CODE_ENTRIES = {
+    "attach_signs": (lambda x: attach_signs(x, {1: POSITIVE}), GaussCodeError),
+    "band_surface": (band_surface, GaussCodeError),
+    "boundary_components": (boundary_components, GaussCodeError),
+    "bridge_at": (lambda x: bridge_at(x, 0, 1), GaussCodeError),
+    "bridge_replace": (lambda x: bridge_replace(x, _BRIDGE), GaussCodeError),
+    "canonical_form": (canonical_form, GaussCodeError),
+    "chord_removal_drops_genus": (lambda x: chord_removal_drops_genus(x, 1), GaussCodeError),
+    "cycles": (cycles, GaussCodeError),
+    "dt_to_gauss": (dt_to_gauss, DtCodeError),
+    "enumerate_bridges": (enumerate_bridges, GaussCodeError),
+    "find_bridge": (lambda x: find_bridge(x, [1]), GaussCodeError),
+    "flip_passes": (flip_passes, GaussCodeError),
+    "genus": (genus, GaussCodeError),
+    "genus_oracle": (genus_oracle, GaussCodeError),
+    "knotoid_genus": (lambda x: knotoid_genus(x, _BRIDGE), GaussCodeError),
+    "remove_chords": (lambda x: remove_chords(x, [1]), GaussCodeError),
+    "rii_reduce": (rii_reduce, GaussCodeError),
+    "search": (search, GaussCodeError),
+    # None is the default config, so the config case takes a str for it.
+    "search-config": (lambda x: search(parse_gauss(TREFOIL), x or "cfg"), GaussCodeError),
+    "strictly_decreases": (lambda x: strictly_decreases(x, _BRIDGE), GaussCodeError),
+}
+
+
+@pytest.mark.parametrize("foreign", [None, TREFOIL], ids=["none", "text"])
+@pytest.mark.parametrize("entry", sorted(_CODE_ENTRIES))
+def test_entries_refuse_a_foreign_code(entry, foreign):
+    call, error = _CODE_ENTRIES[entry]
+    with pytest.raises(error, match="must be a"):
+        call(foreign)

@@ -68,6 +68,8 @@ def test_recorded_walk_alternates_steps():
 def test_remove_chords_fixture():
     code = parse_gauss(EIGHT_20)
     assert remove_chords(code, {4, 5}).serialize() == EIGHT_20_TRIMMED_45
+    # A label named twice drops its two positions once.
+    assert remove_chords(code, [4, 4, 5]).serialize() == EIGHT_20_TRIMMED_45
 
 
 def test_remove_chords_empty_set():

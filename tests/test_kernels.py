@@ -21,6 +21,7 @@ serialization it stands for.
 
 import bisect
 import collections
+import importlib
 import itertools
 import random
 
@@ -56,10 +57,8 @@ from gaussgenus import (
 from gaussgenus import moves
 from gaussgenus.codes import (
     _SIGN_CHAR,
-    _SIGN_RANK,
     _UNIT_RE,
     canonical_rotation,
-    unit_order_key,
 )
 from gaussgenus.cycles import sigma_orbit
 from gaussgenus.search import _order_key
@@ -77,6 +76,12 @@ from helpers import (
 # -- reference implementations ------------------------------------------------
 
 _CHAR_SIGN = {"+": POSITIVE, "-": NEGATIVE, "?": UNSIGNED}
+_SIGN_RANK = {POSITIVE: 0, NEGATIVE: 1, UNSIGNED: 2}
+
+
+def unit_order_key(unit):
+    """Total order on units: O before U, then label, then '+' before '-'."""
+    return (0 if unit.kind == OVER else 1, unit.label, _SIGN_RANK[unit.sign])
 
 
 def _rotation_key(code, offset):
@@ -678,6 +683,29 @@ def test_open_diagram_matches_validated_build(monkeypatch):
                 assert trimmed == remove_chords(code, bridge.labels)
                 replaced += 1
     assert replaced > 1000
+
+
+def test_search_opens_each_diagram_through_remove_chords(monkeypatch):
+    # bridge_replace deletes its bridge through the one public chord
+    # deletion, looked up in moves at call time, once per replacement.
+    calls = collections.Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(moves, "remove_chords")
+    counted(importlib.import_module("gaussgenus.search"), "bridge_replace")
+    for corpus in sorted(RII_CORPORA):
+        for code in RII_CORPORA[corpus]()[:5]:
+            search(code, SearchConfig(max_depth=2, beam_width=4))
+    assert calls["bridge_replace"] > 100
+    assert calls["remove_chords"] == calls["bridge_replace"]
 
 
 def test_enumerate_bridges_matches_sorted_runs():
