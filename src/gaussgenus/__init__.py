@@ -3,6 +3,10 @@
 Parse or import a diagram code, count its Seifert circles, and lower the
 diagram genus with bridge replacement, RII cancellation, and search over
 move sequences.
+
+``gaussgenus.search`` and ``gaussgenus.cycles`` are the functions, not the
+submodules of those names: patch a submodule through
+``importlib.import_module("gaussgenus.search")``.
 """
 
 from .bands import BandSurface, band_surface, boundary_components, genus_oracle

@@ -128,19 +128,6 @@ def _cmd_import_dt(code: GaussCode, args) -> dict:
     return {"code": code.serialize(), **_stats(code)}
 
 
-def _search_config(args) -> SearchConfig:
-    try:
-        return SearchConfig(
-            max_depth=args.depth,
-            beam_width=args.beam,
-            min_bridge_len=args.min_len,
-            apply_rii=not args.no_rii,
-            only_strict=args.strict_only,
-        )
-    except ValueError as exc:  # an out-of-range flag is invalid input
-        raise GaussCodeError(str(exc)) from None
-
-
 def _search_report(code: GaussCode, args) -> dict:
     result = _run_search(code, args.config)
     return {
@@ -330,8 +317,14 @@ def main(argv=None) -> int:
     batch = args.op_name == "batch"
     op = args.batch_op if batch else args.op_name
     try:
-        if op == "search":
-            args.config = _search_config(args)
+        if op == "search":  # an out-of-range flag raises GaussCodeError
+            args.config = SearchConfig(
+                max_depth=args.depth,
+                beam_width=args.beam,
+                min_bridge_len=args.min_len,
+                apply_rii=not args.no_rii,
+                only_strict=args.strict_only,
+            )
         if batch:
             inputs = [(line, line) for line in _batch_lines(args.input)]
         else:

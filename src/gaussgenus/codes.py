@@ -72,10 +72,14 @@ def _label_key(label) -> tuple:
     return (0, label) if type(label) is int else (1, repr(label))
 
 
-def _label_set(labels) -> frozenset:
-    """``labels`` as a set, or GaussCodeError where it is not a set of labels."""
+def _label_set(labels) -> tuple[frozenset[int], frozenset]:
+    """The int labels and the other items, which name no crossing, of
+    ``labels``; GaussCodeError where it is not a set of hashable items."""
+    ints, others = [], []
     try:
-        return frozenset(labels)
+        for x in labels:
+            (ints if type(x) is int else others).append(x)
+        return frozenset(ints), frozenset(others)
     except TypeError:  # not iterable, or holding unhashable items
         raise GaussCodeError(f"labels must be an iterable of ints, not {labels!r}") from None
 
@@ -86,9 +90,11 @@ def _require_code(code) -> None:
         raise GaussCodeError(f"code must be a GaussCode, not {type(code).__name__}")
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, positive: bool = False) -> None:
     if type(value) is not int:  # 1.5, "1" and True alike
         raise GaussCodeError(f"{name} must be an int, not {value!r}")
+    if positive and value < 1:
+        raise GaussCodeError(f"{name} must be at least 1")
 
 
 def _kind(c: int) -> str:
@@ -267,9 +273,10 @@ class GaussCode:
 
     def positions_of(self, label: int) -> tuple[int, int]:
         """The two positions at which ``label`` is visited, in order (O(m))."""
-        for i, c in enumerate(self.packed):
-            if c >> 2 == label:
-                return i, self.partner[i]
+        if type(label) is int:  # True and 1.0 name no crossing
+            for i, c in enumerate(self.packed):
+                if c >> 2 == label:
+                    return i, self.partner[i]
         raise GaussCodeError(f"unknown label {label}")
 
     def successor(self, position: int) -> int:

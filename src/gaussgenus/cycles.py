@@ -160,13 +160,14 @@ def remove_chords(code: GaussCode, labels) -> GaussCode:
 
     Given a bridge's labels, this is the open (knotoid) diagram of its
     replacement.  Each known label drops two positions, so the code's label
-    set is built only when fewer drop, to name the unknown label.
+    set is built only when fewer drop, to name the unknown label.  A label
+    that is not an int is unknown.
     """
     _require_code(code)
-    labels = _label_set(labels)
+    labels, others = _label_set(labels)
     keep = [i for i, c in enumerate(code.packed) if c >> 2 not in labels]
-    if len(code.packed) - len(keep) != 2 * len(labels):
-        missing = labels - code.labels
+    if others or len(code.packed) - len(keep) != 2 * len(labels):
+        missing = [*others, *(labels - code.labels)]
         raise GaussCodeError(f"unknown label {min(missing, key=_label_key)}")
     return _restrict(code, keep)
 

@@ -25,6 +25,7 @@ from .codes import (
     _label_key,
     _label_set,
     _require_code,
+    _require_int,
     _restrict,
     _units_of,
 )
@@ -75,10 +76,10 @@ def _run(code: GaussCode, start: int, length: int) -> tuple[tuple[int, ...], tup
 def bridge_at(code: GaussCode, start: int, length: int) -> Bridge:
     """The bridge occupying ``length`` positions from ``start``, maximal or not."""
     _require_code(code)
+    _require_int("start", start)
+    _require_int("length", length, positive=True)
     m = len(code.packed)
-    if type(start) is not int or type(length) is not int:
-        raise GaussCodeError(f"bridge start {start!r} and length {length!r} must be ints")
-    if m == 0 or not 1 <= length <= m:
+    if length > m:
         raise GaussCodeError(f"no bridge of length {length} in a code of {m} units")
     start %= m
     positions, run, maximal = _run(code, start, length)
@@ -99,10 +100,7 @@ def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> 
     want = _KIND_ALIASES.get(kind) if type(kind) is str else None
     if want is None:
         raise GaussCodeError(f"bad bridge kind {kind!r}")
-    if type(min_len) is not int:
-        raise GaussCodeError(f"min_len must be an int, not {min_len!r}")
-    if min_len < 1:
-        raise GaussCodeError("min_len must be positive")
+    _require_int("min_len", min_len, positive=True)
     packed = code.packed
     m = len(packed)
     if m == 0:
@@ -121,40 +119,33 @@ def enumerate_bridges(code: GaussCode, kind: str = "both", min_len: int = 1) -> 
 
 def find_bridge(code: GaussCode, labels) -> Bridge:
     """The maximal bridge whose crossing set is exactly ``labels``."""
-    target = _label_set(labels)
+    target, others = _label_set(labels)
     for b in enumerate_bridges(code):
-        if frozenset(b.labels) == target:
+        if not others and frozenset(b.labels) == target:
             return b
-    pretty = ",".join(str(x) for x in sorted(target, key=_label_key))
+    pretty = ",".join(str(x) for x in sorted([*target, *others], key=_label_key))
     raise GaussCodeError(f"labels {{{pretty}}} do not form a maximal bridge")
 
 
 def _require_bridge(code: GaussCode, bridge: Bridge) -> None:
-    # Exactly the bridge that ``bridge_at`` reads from its first position,
-    # checked in O(k) on the run read there, without building it.
+    # Exactly the bridge that ``bridge_at`` reads from its first position.
+    # Its positions and labels must be ints, since ``==`` takes 1.0 and True
+    # for 1.
     _require_code(code)
     if not isinstance(bridge, Bridge):
         raise GaussCodeError(f"bridge must be a Bridge, not {bridge!r}")
-    m = len(code.packed)
-    positions = bridge.positions
+    positions, labels = bridge.positions, bridge.labels
     if (
-        bridge.kind not in (OVER, UNDER)
-        or type(positions) is not tuple
-        or not positions
-        or {*map(type, positions)} != {int}
-        or not 0 <= positions[0] < m
-        or len(positions) > m
+        type(positions) is type(labels) is tuple
+        and positions
+        and {*map(type, positions + labels)} == {int}
     ):
-        raise GaussCodeError("bridge not contained in code")
-    under = _UNDER_BIT if bridge.kind == UNDER else 0
-    run_positions, run, maximal = _run(code, positions[0], len(positions))
-    if (
-        positions != run_positions
-        or [c & _UNDER_BIT for c in run] != [under] * len(run)
-        or bridge.labels != tuple([c >> 2 for c in run])
-        or bridge.maximal != maximal
-    ):
-        raise GaussCodeError("bridge not contained in code")
+        try:
+            if bridge_at(code, positions[0], len(positions)) == bridge:
+                return
+        except GaussCodeError:  # too long, or not of one pass letter
+            pass
+    raise GaussCodeError("bridge not contained in code")
 
 
 def strictly_decreases(code: GaussCode, bridge: Bridge) -> bool:

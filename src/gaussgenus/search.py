@@ -27,6 +27,7 @@ from .codes import (
     GaussCode,
     GaussCodeError,
     _require_code,
+    _require_int,
     canonical_form,
 )
 from .cycles import genus
@@ -44,14 +45,14 @@ class SearchConfig:
     only_strict: bool = False
 
     def __post_init__(self):
-        for name in ("max_depth", "beam_width", "min_bridge_len"):
+        _require_int("max_depth", self.max_depth, positive=True)
+        if self.beam_width is not None:
+            _require_int("beam_width", self.beam_width, positive=True)
+        _require_int("min_bridge_len", self.min_bridge_len, positive=True)
+        for name in ("apply_rii", "only_strict"):
             value = getattr(self, name)
-            if name == "beam_width" and value is None:
-                continue
-            if type(value) is not int:  # floats, strings and bools alike
-                raise ValueError(f"{name} must be an int, not {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+            if type(value) is not bool:
+                raise GaussCodeError(f"{name} must be a bool, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -708,22 +708,6 @@ def test_search_opens_each_diagram_through_remove_chords(monkeypatch):
     assert calls["remove_chords"] == calls["bridge_replace"]
 
 
-def test_enumerate_bridges_matches_sorted_runs():
-    zero_starts = {True: 0, False: 0}
-    for corpora in (CORPORA, RII_CORPORA):
-        for corpus in sorted(corpora):
-            for code in corpora[corpus]():
-                for kind in ("both", "O", "U", "over", "under"):
-                    for min_len in (1, 2, 3):
-                        ours = enumerate_bridges(code, kind, min_len)
-                        assert ours == reference_enumerate_bridges(code, kind, min_len), code
-                if len(code):
-                    zero_starts[code.units[0].kind != code.units[-1].kind] += 1
-    # Both orders of the run list are exercised: a run starting at position 0
-    # keeps the scan order, a run wrapping past the end goes first.
-    assert min(zero_starts.values()) > 200, zero_starts
-
-
 def test_anchor_and_guide_match_leftward_walk():
     replaced = 0
     for corpus in sorted(CORPORA):
@@ -776,7 +760,12 @@ def test_require_bridge_accepts_exactly_the_runs_of_the_code():
                 Bridge(bridge.kind, bridge.positions, bridge.labels[:-1], True),
                 Bridge(bridge.kind, (), (), True),
                 Bridge(bridge.kind, bridge.positions, bridge.labels, False),  # it is maximal
+                # Equal under ==, but 1.0 and True name no label or position.
+                Bridge(bridge.kind, bridge.positions, tuple(map(float, bridge.labels)), True),
             ]
+            if min(bridge.positions) < 2:
+                as_bools = tuple([p if p > 1 else bool(p) for p in bridge.positions])
+                wrongs.append(Bridge(bridge.kind, as_bools, bridge.labels, True))
             for wrong in wrongs:
                 with pytest.raises(GaussCodeError):
                     moves._require_bridge(code, wrong)
@@ -785,12 +774,21 @@ def test_require_bridge_accepts_exactly_the_runs_of_the_code():
 
 
 def test_bridge_entries_read_one_run():
+    # enumerate_bridges lists the sorted runs for every kind and min_len, and
     # bridge_at, enumerate_bridges and the caller-bridge check agree on every
     # short run of every code.
+    zero_starts = {True: 0, False: 0}
     read = mixed = 0
     for corpora in (CORPORA, RII_CORPORA):
         for corpus in sorted(corpora):
             for code in corpora[corpus]():
+                for kinds in (("both",), ("O", "over"), ("U", "under")):  # spellings of one kind
+                    for min_len in (1, 2, 3):
+                        expected = reference_enumerate_bridges(code, kinds[0], min_len)
+                        for kind in kinds:
+                            assert enumerate_bridges(code, kind, min_len) == expected, code
+                if len(code):
+                    zero_starts[code.units[0].kind != code.units[-1].kind] += 1
                 m = len(code)
                 for start in range(m):
                     for length in range(1, min(m, 6) + 1):
@@ -806,6 +804,9 @@ def test_bridge_entries_read_one_run():
                         read += 1
                 for b in enumerate_bridges(code):
                     assert b == bridge_at(code, b.positions[0], len(b)), (code, b)
+    # Both orders of the run list are exercised: a run starting at position 0
+    # keeps the scan order, a run wrapping past the end goes first.
+    assert min(zero_starts.values()) > 200, zero_starts
     assert read > 10000 and mixed > 10000, (read, mixed)
 
 

@@ -12,6 +12,7 @@ from gaussgenus import (
     bridge_at,
     bridge_replace,
     canonical_form,
+    chord_removal_drops_genus,
     enumerate_bridges,
     find_bridge,
     flip_passes,
@@ -97,6 +98,45 @@ def test_bridge_at_maximality():
 def test_bridge_arguments_that_are_not_ints_are_rejected(call):
     with pytest.raises(GaussCodeError):
         call(parse_gauss(EIGHT_20))
+
+
+def _first_bridge_of_8_20(positions=None, labels=None):
+    # 8_20's first bridge, O8-O1+ at positions (15, 0), with a field replaced.
+    bridge = enumerate_bridges(parse_gauss(EIGHT_20))[0]
+    return Bridge(bridge.kind, positions or bridge.positions, labels or bridge.labels, True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: remove_chords(parse_gauss(TREFOIL), [True]),
+        lambda: remove_chords(parse_gauss(TREFOIL), [1.0]),
+        lambda: find_bridge(parse_gauss(TREFOIL), [2.0]),
+        lambda: chord_removal_drops_genus(parse_gauss(TREFOIL), True),
+        lambda: parse_gauss(TREFOIL).positions_of(1.0),
+        lambda: bridge_replace(parse_gauss(EIGHT_20), _first_bridge_of_8_20(labels=(8.0, 1.0))),
+        lambda: strictly_decreases(parse_gauss(EIGHT_20), _first_bridge_of_8_20(labels=(8.0, 1))),
+        lambda: knotoid_genus(parse_gauss(EIGHT_20), _first_bridge_of_8_20(labels=(8, 1.0))),
+        lambda: bridge_replace(parse_gauss(EIGHT_20), _first_bridge_of_8_20(positions=(15, False))),
+        lambda: strictly_decreases(parse_gauss(EIGHT_20), _first_bridge_of_8_20(labels=(8, True))),
+    ],
+    ids=[
+        "remove-bool",
+        "remove-float",
+        "find-float",
+        "drops-genus-bool",
+        "positions-of-float",
+        "replace-float-labels",
+        "strict-float-label",
+        "knotoid-float-label",
+        "replace-bool-position",
+        "strict-bool-label",
+    ],
+)
+def test_labels_equal_to_ints_but_not_ints_are_unknown(call):
+    # True == 1 and 1.0 == 1, yet neither is a crossing label or a position.
+    with pytest.raises(GaussCodeError):
+        call()
 
 
 @pytest.mark.parametrize(

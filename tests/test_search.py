@@ -79,6 +79,15 @@ def test_config_rejects_values_that_are_not_ints(field, value):
         SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value", [("apply_rii", "no"), ("apply_rii", 0), ("only_strict", None)]
+)
+def test_config_rejects_flags_that_are_not_bools(field, value):
+    # Any truthy value would otherwise switch RII on, and None would be stored.
+    with pytest.raises(GaussCodeError, match=f"{field} must be a bool, not {value!r}"):
+        SearchConfig(**{field: value})
+
+
 def test_trace_genus_is_non_increasing():
     result = search(EIGHT, SearchConfig(max_depth=3))
     genera = [genus(EIGHT)] + [step.genus_after for step in result.move_trace]
