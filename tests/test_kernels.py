@@ -708,6 +708,57 @@ def test_search_opens_each_diagram_through_remove_chords(monkeypatch):
     assert calls["remove_chords"] == calls["bridge_replace"]
 
 
+@pytest.fixture(scope="module")
+def bridge_walk():
+    """One walk of CORPORA and RII_CORPORA for the two tests below.
+
+    Returns what each test checks: the enumerations that differ from the
+    sorted runs, the run reads on which bridge_at, enumerate_bridges and the
+    caller-bridge check disagree, and the counts that show every case is met.
+    """
+    walk = {"enumerated": [], "entries": [], "zero_starts": {True: 0, False: 0}, "read": 0, "mixed": 0}
+    for corpora in (CORPORA, RII_CORPORA):
+        for corpus in sorted(corpora):
+            for code in corpora[corpus]():
+                for kinds in (("both",), ("O", "over"), ("U", "under")):  # spellings of one kind
+                    for min_len in (1, 2, 3):
+                        expected = reference_enumerate_bridges(code, kinds[0], min_len)
+                        for kind in kinds:
+                            if enumerate_bridges(code, kind, min_len) != expected:
+                                walk["enumerated"].append((code, kind, min_len))
+                if len(code):
+                    walk["zero_starts"][code.units[0].kind != code.units[-1].kind] += 1
+                m = len(code)
+                for start in range(m):
+                    for length in range(1, min(m, 6) + 1):
+                        try:
+                            bridge = bridge_at(code, start, length)
+                        except GaussCodeError as exc:
+                            if "mixes passes" not in str(exc):
+                                walk["entries"].append((code, start, length, str(exc)))
+                            walk["mixed"] += 1
+                            continue
+                        try:
+                            moves._require_bridge(code, bridge)
+                        except GaussCodeError as exc:
+                            walk["entries"].append((code, bridge, str(exc)))
+                        flanks = {code.units[start - 1].kind, code.units[(start + length) % m].kind}
+                        if bridge.maximal != (bridge.kind not in flanks):
+                            walk["entries"].append((code, bridge, "maximal"))
+                        walk["read"] += 1
+                for b in enumerate_bridges(code):
+                    if b != bridge_at(code, b.positions[0], len(b)):
+                        walk["entries"].append((code, b, "bridge_at"))
+    return walk
+
+
+def test_enumerate_bridges_matches_sorted_runs(bridge_walk):
+    assert bridge_walk["enumerated"] == []
+    # Both orders of the run list are exercised: a run starting at position 0
+    # keeps the scan order, a run wrapping past the end goes first.
+    assert min(bridge_walk["zero_starts"].values()) > 200, bridge_walk["zero_starts"]
+
+
 def test_anchor_and_guide_match_leftward_walk():
     replaced = 0
     for corpus in sorted(CORPORA):
@@ -773,41 +824,11 @@ def test_require_bridge_accepts_exactly_the_runs_of_the_code():
     assert checked > 5000
 
 
-def test_bridge_entries_read_one_run():
-    # enumerate_bridges lists the sorted runs for every kind and min_len, and
+def test_bridge_entries_read_one_run(bridge_walk):
     # bridge_at, enumerate_bridges and the caller-bridge check agree on every
     # short run of every code.
-    zero_starts = {True: 0, False: 0}
-    read = mixed = 0
-    for corpora in (CORPORA, RII_CORPORA):
-        for corpus in sorted(corpora):
-            for code in corpora[corpus]():
-                for kinds in (("both",), ("O", "over"), ("U", "under")):  # spellings of one kind
-                    for min_len in (1, 2, 3):
-                        expected = reference_enumerate_bridges(code, kinds[0], min_len)
-                        for kind in kinds:
-                            assert enumerate_bridges(code, kind, min_len) == expected, code
-                if len(code):
-                    zero_starts[code.units[0].kind != code.units[-1].kind] += 1
-                m = len(code)
-                for start in range(m):
-                    for length in range(1, min(m, 6) + 1):
-                        try:
-                            bridge = bridge_at(code, start, length)
-                        except GaussCodeError as exc:
-                            assert "mixes passes" in str(exc), (code, start, length)
-                            mixed += 1
-                            continue
-                        moves._require_bridge(code, bridge)
-                        flanks = {code.units[start - 1].kind, code.units[(start + length) % m].kind}
-                        assert bridge.maximal == (bridge.kind not in flanks), (code, bridge)
-                        read += 1
-                for b in enumerate_bridges(code):
-                    assert b == bridge_at(code, b.positions[0], len(b)), (code, b)
-    # Both orders of the run list are exercised: a run starting at position 0
-    # keeps the scan order, a run wrapping past the end goes first.
-    assert min(zero_starts.values()) > 200, zero_starts
-    assert read > 10000 and mixed > 10000, (read, mixed)
+    assert bridge_walk["entries"] == []
+    assert bridge_walk["read"] > 10000 and bridge_walk["mixed"] > 10000, (bridge_walk["read"], bridge_walk["mixed"])
 
 
 _SPACES = " \t\n\x1c\u00a0\u2003\u3000"
