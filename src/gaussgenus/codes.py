@@ -422,15 +422,18 @@ def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
         raise GaussCodeError("code is already signed")
     if not isinstance(signs, Mapping):
         raise GaussCodeError(f"signs must map labels to signs, not {type(signs).__name__}")
+    # A key or sign equal to an int under ``==`` but not an int (1.0, True)
+    # is refused, as labels are everywhere.
+    for label, sign in signs.items():
+        _require_int("label", label)
+        if type(sign) is not int or sign not in (POSITIVE, NEGATIVE):
+            raise GaussCodeError(f"sign for label {label} must be positive or negative")
     out = []
     for c in code.packed:
         label = c >> 2
         if label not in signs:
             raise GaussCodeError(f"label {label} unsigned")
-        sign = signs[label]
-        if sign not in (POSITIVE, NEGATIVE):
-            raise GaussCodeError(f"sign for label {label} must be positive or negative")
-        out.append(c | (sign == NEGATIVE))
+        out.append(c | (signs[label] == NEGATIVE))
     return GaussCode._validated(tuple(out), signed=True)
 
 

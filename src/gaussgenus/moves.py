@@ -129,8 +129,8 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
 
 def _require_bridge(code: GaussCode, bridge: Bridge) -> None:
     # Exactly the bridge that ``bridge_at`` reads from its first position.
-    # Its positions and labels must be ints, since ``==`` takes 1.0 and True
-    # for 1.
+    # Its positions and labels must be ints and ``maximal`` a bool, since
+    # ``==`` takes 1.0 and True for 1.
     _require_code(code)
     if not isinstance(bridge, Bridge):
         raise GaussCodeError(f"bridge must be a Bridge, not {bridge!r}")
@@ -139,6 +139,7 @@ def _require_bridge(code: GaussCode, bridge: Bridge) -> None:
         type(positions) is type(labels) is tuple
         and positions
         and {*map(type, positions + labels)} == {int}
+        and type(bridge.maximal) is bool
     ):
         try:
             if bridge_at(code, positions[0], len(positions)) == bridge:
@@ -238,16 +239,8 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     guide = (units[xc], *_walk(trimmed, orbit)[:-1])
 
     # Pattern crossings: chord steps of the guide, scanned leftward from X,
-    # where the new bridge must cross the interval.  A '+' crossing matches
-    # when stepped from the bridge's pass letter to the other one, a '-'
-    # crossing the other way: its pass bit differs from the bridge's exactly
-    # when its sign bit is set.  Each chord matches in at most one
-    # direction, so pattern labels stay distinct.
-    patterns = [
-        (units[x] >> 2, x, partner[x])
-        for x in reversed(orbit)
-        if ((units[x] ^ top) & _UNDER_BIT) >> 1 == units[x] & _NEGATIVE_BIT
-    ]
+    # where the new bridge must cross the interval.
+    patterns = [(units[x] >> 2, x, partner[x]) for x in _crossed(units, orbit, top)]
     k = len(patterns)
     if len({a for a, _, _ in patterns}) != k:
         raise _broken("pattern crossings are not pairwise distinct", code, removed)
@@ -290,6 +283,114 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
             strict,
         ),
     )
+
+
+def _crossed(packed, orbit, top: int) -> list[int]:
+    # The guide positions of ``orbit`` that are pattern crossings for a
+    # bridge of pass bit ``top``, last orbit position first.  A '+' crossing
+    # matches when stepped from the bridge's pass letter to the other one, a
+    # '-' crossing the other way: its pass bit differs from the bridge's
+    # exactly when its sign bit is set.  Each chord matches in at most one
+    # direction, so pattern labels stay distinct.
+    return [
+        x
+        for x in reversed(orbit)
+        if ((packed[x] ^ top) & _UNDER_BIT) >> 1 == packed[x] & _NEGATIVE_BIT
+    ]
+
+
+def _gives_back(code: GaussCode, bridge: Bridge) -> bool:
+    """Whether ``canonical_form(rii_reduce(bridge_replace(code, bridge).result))``
+    equals ``code``, for an RII-free canonical ``code``, read from ``code``
+    alone.
+
+    Work in the parent's positions: the kept ones are the open diagram's, and
+    a gap is named by the kept position before it.  The guide steps from
+    the first kept position after the anchor X by jumping the chord, then
+    going on to the next kept position.  Pattern j (in the order
+    :func:`bridge_replace` numbers them) at position q1, with partner q2,
+    gets inserted crossing base+2j-1 ('-') at the start of gap q2 and
+    base+2j ('+') at the end of the gap before q1.
+
+    Patterns are numbered from the guide's last position back, and the
+    guide steps from q1(j+1) to the first kept position after q2(j+1).  So
+    patterns j and j+1 are consecutive on the guide exactly when the gap
+    before q1(j) is q2(j+1).  Then base+2j and base+2j+1 cancel by RII:
+    their block passes are adjacent, their other passes fill that gap alone
+    and in turn, and their signs are opposite.  That gap is never X, where
+    the block would sit between them, since q1(j) would then be the guide's
+    first position and j the last pattern.  So each maximal run of
+    consecutive patterns leaves two crossings, the '-' one of its first
+    pattern and the '+' one of its last: 2 * runs survivors, signed '-',
+    '+', ... in block order.  The child has the parent's crossing count only
+    when that is k, the bridge's length, and it reads as the parent only
+    when the bridge's passes carry the same signs.
+
+    The move gives back ``code`` when the survivors' other passes fill the
+    same gaps, in the same order, as the bridge chords' other passes do in
+    ``code``, survivor i standing for the bridge's i-th chord: the cancelled child is then
+    ``code`` itself, relabelled.  ``code`` is RII-free, so that child is
+    fully reduced, and since RII reduction is confluent up to relabelling
+    (see :func:`rii_reduce`) ``rii_reduce`` of the built child has the same
+    canonical form.  The test is sufficient; it has matched the built child
+    on every move of the test corpora's search trees.
+    """
+    packed = code.packed
+    partner = code.partner
+    m = len(packed)
+    positions = bridge.positions
+    k = len(positions)
+    if k % 2 or 2 * k == m:  # survivors come in pairs; no chord left is the unknot
+        return False
+    for t, p in enumerate(positions):
+        if not (packed[p] ^ t) & _NEGATIVE_BIT:  # '-' at even t, '+' at odd
+            return False
+    gone = {*positions, *[partner[p] for p in positions]}
+
+    def kept_before(x: int) -> int:
+        x = (x - 1) % m
+        while x in gone:
+            x = (x - 1) % m
+        return x
+
+    anchor = kept_before(positions[0])
+    first = x = (anchor + 1) % m
+    while x in gone:
+        x = first = (x + 1) % m
+    orbit = []
+    while True:
+        orbit.append(x)
+        x = (partner[x] + 1) % m
+        while x in gone:
+            x = (x + 1) % m
+        if x == first:
+            break
+
+    # Gap, rank within the gap, survivor index: the '-' survivor opens its
+    # gap, the block follows in X's gap, a '+' survivor closes its gap.
+    want = [(anchor, 1, -1)]
+    end = -1  # the gap before the last pattern's q1
+    for x in _crossed(packed, orbit, packed[positions[0]] & _UNDER_BIT):
+        q2 = partner[x]
+        if q2 != end:  # a run starts here
+            if end >= 0:
+                want.append((end, 2, len(want) - 1))
+            want.append((q2, 0, len(want) - 1))
+            if len(want) > k:
+                return False
+        end = kept_before(x)
+    if end < 0:  # no pattern, so no survivor
+        return False
+    want.append((end, 2, len(want) - 1))
+
+    have = [(anchor, (positions[0] - anchor) % m, -1)]
+    for i, p in enumerate(positions):
+        c = partner[p]
+        gap = kept_before(c)
+        have.append((gap, (c - gap) % m, i))
+    want.sort()
+    have.sort()
+    return [(g, i) for g, _, i in want] == [(g, i) for g, _, i in have]
 
 
 def _broken(message: str, code: GaussCode, labels) -> InternalInvariantError:

@@ -12,7 +12,10 @@ so no node is serialized.  A child's genus is read before
 canonicalization, where RII that cancels nothing leaves the circles
 ``bridge_replace`` already counted.  A node records only the move that
 made it, (bridge, pattern labels, RII pairs cancelled); the
-:class:`SearchStep` records are built for the returned path alone.
+:class:`SearchStep` records are built for the returned path alone.  With
+RII on, a move whose reduced child would be its RII-free node itself
+(:func:`~gaussgenus.moves._gives_back`, read from the node) is counted as
+the duplicate it would be and never built.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .codes import (
     canonical_form,
 )
 from .cycles import genus
-from .moves import bridge_replace, enumerate_bridges, rii_reduce, strictly_decreases
+from .moves import _gives_back, bridge_replace, enumerate_bridges, rii_reduce, strictly_decreases
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,8 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
     start = _Node(genus(root), root.n, _order_key(root), root, None, None)
     nodes: dict[GaussCode, _Node] = {root: start}
     frontier = [start]
+    # Every other node is RII-reduced, so ``_gives_back`` applies to it.
+    root_reduced = config.apply_rii and rii_reduce(root) is root
     expanded = 0
     pruned = 0
 
@@ -137,8 +142,12 @@ def search(code: GaussCode, config: SearchConfig | None = None) -> SearchResult:
         fresh: list[_Node] = []
         for node in frontier:
             expanded += 1
+            rii_free = config.apply_rii and (node is not start or root_reduced)
             for bridge in enumerate_bridges(node.code, "both", config.min_bridge_len):
                 if config.only_strict and not strictly_decreases(node.code, bridge):
+                    continue
+                if rii_free and _gives_back(node.code, bridge):
+                    pruned += 1  # the child would be this node, a duplicate
                     continue
                 outcome = bridge_replace(node.code, bridge)
                 reduced = outcome.result

@@ -231,6 +231,21 @@ def test_attach_signs_rejects_unknown_value():
         attach_signs(parse_gauss("O1?U1?"), {1: UNSIGNED})
 
 
+@pytest.mark.parametrize(
+    "signs",
+    [
+        {1.0: NEGATIVE},  # equal to 1 under ==, but no label
+        {True: NEGATIVE},
+        {1: True},  # equal to POSITIVE under ==, but no sign
+        {1: -1.0},
+    ],
+)
+def test_attach_signs_rejects_keys_and_signs_that_only_compare_equal(signs):
+    # These once signed label 1 (True as '+').
+    with pytest.raises(GaussCodeError):
+        attach_signs(parse_gauss("O1?U1?"), signs)
+
+
 def test_attach_signs_rejects_signed_input():
     with pytest.raises(GaussCodeError):
         attach_signs(parse_gauss(TREFOIL), {1: NEGATIVE, 2: NEGATIVE, 3: NEGATIVE})

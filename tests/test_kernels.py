@@ -811,6 +811,7 @@ def test_require_bridge_accepts_exactly_the_runs_of_the_code():
                 Bridge(bridge.kind, bridge.positions, bridge.labels[:-1], True),
                 Bridge(bridge.kind, (), (), True),
                 Bridge(bridge.kind, bridge.positions, bridge.labels, False),  # it is maximal
+                Bridge(bridge.kind, bridge.positions, bridge.labels, 1),  # == True, not a bool
                 # Equal under ==, but 1.0 and True name no label or position.
                 Bridge(bridge.kind, bridge.positions, tuple(map(float, bridge.labels)), True),
             ]
@@ -1101,3 +1102,77 @@ def test_move_trace_replays_from_the_root(beam, rii, strict, min_len, depth):
         assert current == result.best_code, (code, config)
         assert genus(current) == result.best_genus
     assert steps >= len(_search_codes()), steps
+
+
+def _tree_codes():
+    """Signed codes of every corpus, up to n = 14, eight from each."""
+    codes = []
+    for corpora in (CORPORA, RII_CORPORA):
+        for corpus in sorted(corpora):
+            codes += [c for c in corpora[corpus]() if c.signed and 4 <= c.n <= 14][:8]
+    return codes
+
+
+_TREE_CONFIG = SearchConfig(max_depth=3, beam_width=4)
+
+
+@pytest.fixture(scope="module")
+def search_trees():
+    """The codes, the node of every expansion when search runs on them at
+    beam 4, depth 3, and its results."""
+    search_module = importlib.import_module("gaussgenus.search")
+    real = search_module.enumerate_bridges
+    nodes = []
+
+    def spy(code, *args):
+        nodes.append(code)
+        return real(code, *args)
+
+    codes = _tree_codes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "enumerate_bridges", spy)
+        results = [search(code, _TREE_CONFIG) for code in codes]
+    return codes, nodes, results
+
+
+# Search nodes with a move whose survivors fill the gaps of the bridge's
+# passes, but in another order or for other chords: no self-moves.
+_SAME_GAPS = ("O1+O2-U3+O4-O3+U4-U2-O5-U5-U1+", "O1+O2-U2-U3+O4-O3+U5-U6-O6-O5-U4-U1+")
+
+
+def test_gives_back_matches_the_built_child(search_trees):
+    # On every bridge of every RII-free node, of any length, the predicate
+    # read from the parent equals the comparison with the built child.
+    _, nodes, _ = search_trees
+    moved = given_back = 0
+    for node in [*nodes, *map(parse_gauss, _SAME_GAPS)]:
+        if rii_reduce(node) is not node:
+            continue  # a root with cancelling pairs
+        for bridge in enumerate_bridges(node):
+            built = canonical_form(rii_reduce(bridge_replace(node, bridge).result))
+            assert moves._gives_back(node, bridge) == (built == node), (node, bridge)
+            moved += 1
+            given_back += built == node
+    assert moved > 2000 and given_back > 250, (moved, given_back)
+
+
+def test_search_without_the_prediction_is_identical(search_trees, monkeypatch):
+    # Pruning a move that gives back its own node counts it as the duplicate
+    # that building it would have found, so the results do not change.
+    codes, _, beamed = search_trees
+    search_module = importlib.import_module("gaussgenus.search")
+    real = search_module._gives_back
+    predicted = 0
+
+    def counted(code, bridge):
+        nonlocal predicted
+        predicted += real(code, bridge)
+        return real(code, bridge)
+
+    exhaustive = SearchConfig(max_depth=2)
+    monkeypatch.setattr(search_module, "_gives_back", counted)
+    live = [search(code, exhaustive) for code in codes]
+    assert predicted > 150, predicted
+    monkeypatch.setattr(search_module, "_gives_back", lambda code, bridge: False)
+    assert [search(code, _TREE_CONFIG) for code in codes] == beamed
+    assert [search(code, exhaustive) for code in codes] == live

@@ -32,7 +32,8 @@ from gaussgenus import (  # noqa: E402
     remove_chords,
     rii_reduce,
 )
-from helpers import assert_as_validated  # noqa: E402
+from gaussgenus import moves  # noqa: E402
+from helpers import assert_as_validated, braid_closure_code  # noqa: E402
 
 MAX_N = 30
 MOVE_MAX_N = 14
@@ -58,6 +59,14 @@ def chord_diagrams(draw, max_n=MAX_N, signed=None):
         units[over] = Unit(OVER, label, sign)
         units[under] = Unit(UNDER, label, sign)
     return GaussCode(units)
+
+
+@st.composite
+def braid_words(draw, max_strands=6, max_len=16):
+    """Letters (j, eps) of a braid on up to ``max_strands`` strands."""
+    strands = draw(st.integers(2, max_strands))
+    letter = st.tuples(st.integers(1, strands - 1), st.sampled_from((1, -1)))
+    return draw(st.lists(letter, min_size=2, max_size=max_len))
 
 
 @st.composite
@@ -157,3 +166,25 @@ def test_derived_codes_equal_their_validated_build(code, offset, rng):
         derived.append(rii_reduce(code))
     for d in derived:
         assert_as_validated(d)
+
+
+@derandomized_moves
+@given(
+    st.one_of(
+        chord_diagrams(max_n=MOVE_MAX_N, signed=True),
+        braid_words().map(braid_closure_code).filter(lambda code: code is not None),
+    ),
+    st.integers(0, 4 * MOVE_MAX_N),
+)
+def test_gives_back_exactly_when_the_reduced_child_is_the_node(code, pick):
+    # On an RII-reduced canonical code and on one of its children, as search
+    # reaches them: a child often gives itself back by a move.
+    nodes = [canonical_form(rii_reduce(code))]
+    bridges = enumerate_bridges(nodes[0])
+    if bridges:
+        outcome = bridge_replace(nodes[0], bridges[pick % len(bridges)])
+        nodes.append(canonical_form(rii_reduce(outcome.result)))
+    for node in nodes:
+        for bridge in enumerate_bridges(node):
+            built = canonical_form(rii_reduce(bridge_replace(node, bridge).result))
+            assert moves._gives_back(node, bridge) == (built == node)
