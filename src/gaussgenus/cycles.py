@@ -37,24 +37,16 @@ def sigma_orbit(code: GaussCode, start: int) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def _walk(code: GaussCode, orbit: tuple[int, ...]) -> list[int]:
-    # Each orbit position's packed unit followed by its chord partner's.
+def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
+    # Recorded walk from the least phase: each orbit position's unit followed
+    # by its chord partner's.  Distinct positions carry distinct (pass,
+    # label) pairs, so the phase whose first unit is least gives the least
+    # walk; among units of one pass letter, packed ints order by label.
     packed = code.packed
     partner = code.partner
-    out = []
-    for x in orbit:
-        out.append(packed[x])
-        out.append(packed[partner[x]])
-    return out
-
-
-def _recorded(code: GaussCode, orbit: tuple[int, ...]) -> tuple[Unit, ...]:
-    # Recorded walk from the least phase.  Distinct positions carry distinct
-    # (pass, label) pairs, so the phase whose first unit is least gives the
-    # least walk; among units of one pass letter, packed ints order by label.
-    packed = code.packed
     k = min(range(len(orbit)), key=lambda t: (packed[orbit[t]] & _UNDER_BIT, packed[orbit[t]]))
-    return _units_of(_walk(code, orbit[k:] + orbit[:k]), code.signed)
+    walk = [packed[y] for x in orbit[k:] + orbit[:k] for y in (x, partner[x])]
+    return _units_of(walk, code.signed)
 
 
 def _circles(code: GaussCode) -> tuple[tuple[int, ...], int]:

@@ -33,7 +33,7 @@ from .codes import (
 # benchmarks/tracing.py rebinds them.
 from .codes import canonical_rotation  # noqa: F401
 from .cycles import cycles  # noqa: F401
-from .cycles import _circles, _walk, genus, remove_chords, sigma_orbit
+from .cycles import _circles, genus, remove_chords
 
 _KIND_ALIASES = {
     "O": OVER,
@@ -219,56 +219,42 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
     removed = tuple(sorted(bridge.labels))
     strict = _bypass(_circles(code)[0], bridge)
     trimmed = remove_chords(code, bridge.labels)  # the open diagram
-    units = trimmed.packed
-    mm = len(units)
-    if not mm:  # the bridge held every crossing: the result is the unknot
+    if not trimmed.packed:  # the bridge held every crossing: the result is the unknot
         unknot = MoveOutcome(trimmed, removed, (), (), (), strict)
         return _checked(code, trimmed, unknot)
 
-    # Anchor X: the last kept unit cyclically before the bridge's first
-    # position p, whose index is p less the removed positions before p.
-    p = bridge.positions[0]
-    gone = [*bridge.positions, *[code.partner[q] for q in bridge.positions]]
-    xc = (p - sum([q < p for q in gone]) - 1) % mm
-    partner = trimmed.partner
-
-    # Guide cycle: the circle running along the arc just after X, i.e. the
-    # one through the gap the removed bridge used to occupy.  Present it
-    # from X, so its first step is that arc; the walk closes back at X.
-    orbit = sigma_orbit(trimmed, (xc + 1) % mm)
-    guide = (units[xc], *_walk(trimmed, orbit)[:-1])
+    packed = code.packed
+    partner = code.partner
+    gone, anchor, steps = _guide(code, bridge)
 
     # Pattern crossings: chord steps of the guide, scanned leftward from X,
     # where the new bridge must cross the interval.
-    patterns = [(units[x] >> 2, x, partner[x]) for x in _crossed(units, orbit, top)]
+    patterns = _crossed(packed, steps, top)
     k = len(patterns)
-    if len({a for a, _, _ in patterns}) != k:
+    if len({packed[x] >> 2 for _, x in patterns}) != k:
         raise _broken("pattern crossings are not pairwise distinct", code, removed)
 
     # New crossings base+1 .. base+2k: the block after X alternates '-',
     # '+' from its first pass; pattern j gets the '-' pass of crossing
     # base+2j-1 right after its partner pass and the '+' pass of base+2j
-    # right before its pass on the guide.
-    base = max(code.packed) >> 2  # the largest label
+    # at the end of the gap before its pass on the guide.  ``inserted``
+    # holds the units placed after each kept position, in that order.
+    base = max(packed) >> 2  # the largest label
+    inserted = {
+        partner[x]: [(base + 2 * j - 1) << 2 | bottom | _NEGATIVE_BIT]
+        for j, (_, x) in enumerate(patterns, start=1)
+    }
     block = [(base + t) << 2 | top | t & _NEGATIVE_BIT for t in range(1, 2 * k + 1)]
-    after: dict[int, int] = {}
-    before: dict[int, int] = {}
-    for j, (_, q1, q2) in enumerate(patterns, start=1):
-        after[q2] = (base + 2 * j - 1) << 2 | bottom | _NEGATIVE_BIT
-        before[(q1 - 1) % mm] = (base + 2 * j) << 2 | bottom
+    inserted[anchor] = [*inserted.get(anchor, ()), *block]
+    for j, (gap, _) in enumerate(patterns, start=1):
+        inserted.setdefault(gap, []).append((base + 2 * j) << 2 | bottom)
 
     out: list[int] = []
-    done = 0  # units[:done] are placed
-    for t in sorted({xc, *after, *before}):
-        out += units[done : t + 1]
-        if t in after:
-            out.append(after[t])
-        if t == xc:
-            out += block
-        if t in before:
-            out.append(before[t])
-        done = t + 1
-    out += units[done:]
+    for t, c in enumerate(packed):
+        if t not in gone:
+            out.append(c)
+            if t in inserted:
+                out += inserted[t]
     result = GaussCode._validated(tuple(out), signed=True)
 
     return _checked(
@@ -277,25 +263,55 @@ def bridge_replace(code: GaussCode, bridge: Bridge) -> MoveOutcome:
         MoveOutcome(
             result,
             removed,
-            guide,
-            tuple([a for a, _, _ in patterns]),
+            tuple([packed[y] for step in steps for y in step]),
+            tuple([packed[x] >> 2 for _, x in patterns]),
             tuple(range(base + 1, base + 2 * k + 1)),
             strict,
         ),
     )
 
 
-def _crossed(packed, orbit, top: int) -> list[int]:
-    # The guide positions of ``orbit`` that are pattern crossings for a
-    # bridge of pass bit ``top``, last orbit position first.  A '+' crossing
-    # matches when stepped from the bridge's pass letter to the other one, a
-    # '-' crossing the other way: its pass bit differs from the bridge's
-    # exactly when its sign bit is set.  Each chord matches in at most one
-    # direction, so pattern labels stay distinct.
+def _guide(code: GaussCode, bridge: Bridge) -> tuple[set[int], int, list[tuple[int, int]]]:
+    # The guide of replacing ``bridge``, read in the positions of ``code``,
+    # which must keep a chord: the removed positions (the bridge's and their
+    # partners), the anchor X, which is the last kept position before the
+    # bridge, and the guide's steps.  The guide is the open diagram's circle
+    # through the gap the bridge used to occupy.  A gap is named by the kept
+    # position before it, and a step is (gap, position): the first kept
+    # position after X, with gap X; then, after jumping the chord of the
+    # step before, the next kept position, whose gap is that chord's other
+    # pass.  The walk closes when that other pass is X again.  So the steps,
+    # read in order, are the guide's units from X less the closing one.
+    partner = code.partner
+    m = len(partner)
+    positions = bridge.positions
+    gone = {*positions, *[partner[p] for p in positions]}
+    anchor = (positions[0] - 1) % m
+    while anchor in gone:
+        anchor = (anchor - 1) % m
+    steps = []
+    gap = anchor
+    while True:
+        x = (gap + 1) % m
+        while x in gone:
+            x = (x + 1) % m
+        steps.append((gap, x))
+        gap = partner[x]
+        if gap == anchor:
+            return gone, anchor, steps
+
+
+def _crossed(packed, steps, top: int) -> list[tuple[int, int]]:
+    # The guide steps whose positions are pattern crossings for a bridge of
+    # pass bit ``top``, last step first.  A '+' crossing matches when
+    # stepped from the bridge's pass letter to the other one, a '-' crossing
+    # the other way: its pass bit differs from the bridge's exactly when its
+    # sign bit is set.  Each chord matches in at most one direction, so
+    # pattern labels stay distinct.
     return [
-        x
-        for x in reversed(orbit)
-        if ((packed[x] ^ top) & _UNDER_BIT) >> 1 == packed[x] & _NEGATIVE_BIT
+        step
+        for step in reversed(steps)
+        if ((packed[step[1]] ^ top) & _UNDER_BIT) >> 1 == packed[step[1]] & _NEGATIVE_BIT
     ]
 
 
@@ -304,13 +320,12 @@ def _gives_back(code: GaussCode, bridge: Bridge) -> bool:
     equals ``code``, for an RII-free canonical ``code``, read from ``code``
     alone.
 
-    Work in the parent's positions: the kept ones are the open diagram's, and
-    a gap is named by the kept position before it.  The guide steps from
-    the first kept position after the anchor X by jumping the chord, then
-    going on to the next kept position.  Pattern j (in the order
-    :func:`bridge_replace` numbers them) at position q1, with partner q2,
-    gets inserted crossing base+2j-1 ('-') at the start of gap q2 and
-    base+2j ('+') at the end of the gap before q1.
+    Work in the parent's positions, as :func:`_guide` reads the guide: the
+    kept positions are the open diagram's, a gap is named by the kept
+    position before it, and each guide position comes with its gap.
+    Pattern j (in the order :func:`bridge_replace` numbers them) at position
+    q1, with partner q2, gets inserted crossing base+2j-1 ('-') at the start
+    of gap q2 and base+2j ('+') at the end of the gap before q1.
 
     Patterns are numbered from the guide's last position back, and the
     guide steps from q1(j+1) to the first kept position after q2(j+1).  So
@@ -345,32 +360,13 @@ def _gives_back(code: GaussCode, bridge: Bridge) -> bool:
     for t, p in enumerate(positions):
         if not (packed[p] ^ t) & _NEGATIVE_BIT:  # '-' at even t, '+' at odd
             return False
-    gone = {*positions, *[partner[p] for p in positions]}
-
-    def kept_before(x: int) -> int:
-        x = (x - 1) % m
-        while x in gone:
-            x = (x - 1) % m
-        return x
-
-    anchor = kept_before(positions[0])
-    first = x = (anchor + 1) % m
-    while x in gone:
-        x = first = (x + 1) % m
-    orbit = []
-    while True:
-        orbit.append(x)
-        x = (partner[x] + 1) % m
-        while x in gone:
-            x = (x + 1) % m
-        if x == first:
-            break
+    gone, anchor, steps = _guide(code, bridge)
 
     # Gap, rank within the gap, survivor index: the '-' survivor opens its
     # gap, the block follows in X's gap, a '+' survivor closes its gap.
     want = [(anchor, 1, -1)]
     end = -1  # the gap before the last pattern's q1
-    for x in _crossed(packed, orbit, packed[positions[0]] & _UNDER_BIT):
+    for gap, x in _crossed(packed, steps, packed[positions[0]] & _UNDER_BIT):
         q2 = partner[x]
         if q2 != end:  # a run starts here
             if end >= 0:
@@ -378,15 +374,18 @@ def _gives_back(code: GaussCode, bridge: Bridge) -> bool:
             want.append((q2, 0, len(want) - 1))
             if len(want) > k:
                 return False
-        end = kept_before(x)
+        end = gap
     if end < 0:  # no pattern, so no survivor
         return False
     want.append((end, 2, len(want) - 1))
 
+    # The bridge chords' other passes are removed positions: name each gap
+    # by the kept position before it.
     have = [(anchor, (positions[0] - anchor) % m, -1)]
     for i, p in enumerate(positions):
-        c = partner[p]
-        gap = kept_before(c)
+        c = gap = partner[p]
+        while gap in gone:
+            gap = (gap - 1) % m
         have.append((gap, (c - gap) % m, i))
     want.sort()
     have.sort()

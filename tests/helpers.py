@@ -228,8 +228,34 @@ def _alexander_eval(code: GaussCode, t: int, p: int) -> int:
 
 
 def knot_fingerprint(code: GaussCode) -> tuple[int, ...]:
+    """The Alexander polynomial of a realizable code's knot at a few points
+    over GF(p), each up to a unit of the field.
+
+    Only a knot invariant on realizable codes: on a virtual code the first
+    elementary ideal of the Alexander module need not be principal, so the
+    one minor read here can change under RII.
+    """
     out = []
     for (p, t), units in zip(_FIELDS, _UNIT_SETS):
         d = _alexander_eval(code, t, p)
         out.append(0 if d == 0 else min(d * u % p for u in units))
     return tuple(out)
+
+
+# -- virtual invariants ------------------------------------------------------
+
+
+def odd_writhe(code: GaussCode) -> int:
+    """Kauffman's odd writhe: the sum of the signs of the odd chords.
+
+    A chord is odd when an odd number of units lie between its two passes
+    (on either side: the other units are even in number).  It is an
+    invariant of virtual knots, and 0 on realizable codes, whose chords are
+    all even.
+    """
+    total = 0
+    for label in code.labels:
+        a, b = code.positions_of(label)
+        if (b - a) % 2 == 0:
+            total += 1 if code.units[a].sign == POSITIVE else -1
+    return total

@@ -8,9 +8,10 @@ counted from the printable decomposition, RII pairs cancelled one round at a
 time from the canonical base point, text scanned unit by unit, search nodes
 keyed by their serialization with every frontier re-sorted, each run read
 again by ``bridge_at`` and the bridges sorted, the anchor of a bridge
-replacement found by walking left, and units validated through an index of
-each label's positions.  Codes derived from a valid code without
-re-validation are compared with the validated build of their units.
+replacement found by walking left, its guide read in the open diagram's
+indices, and units validated through an index of each label's positions.
+Codes derived from a valid code without re-validation are compared with the
+validated build of their units.
 
 The kernels that now run on packed ints are compared with their Unit
 versions: validation of Unit fields, the canonical relabel, the RII
@@ -264,6 +265,31 @@ def reference_anchor(code, bridge):
     while code.units[pos].label in doomed:
         pos = (pos - 1) % m
     return code.units[pos]
+
+
+def reference_guide(code, bridge):
+    """The removed positions, anchor and guide steps of a bridge replacement
+    as it was read in the open diagram, mapped back to the code's positions.
+
+    The anchor's index in the open diagram is the bridge's first position p
+    less the removed positions before p, less one; the guide is the open
+    diagram's orbit from the index after it; each step's gap is found by
+    walking left from its position past the removed ones."""
+    partner = code.partner
+    m = len(code)
+    p = bridge.positions[0]
+    gone = {*bridge.positions, *[partner[q] for q in bridge.positions]}
+    kept = [i for i in range(m) if i not in gone]
+    trimmed = remove_chords(code, bridge.labels)
+    mm = len(kept)
+    xc = (p - sum(q < p for q in gone) - 1) % mm
+    steps = []
+    for y in sigma_orbit(trimmed, (xc + 1) % mm):
+        gap = (kept[y] - 1) % m
+        while gap in gone:
+            gap = (gap - 1) % m
+        steps.append((gap, kept[y]))
+    return gone, kept[xc], steps
 
 
 def reference_search(code, config):
@@ -778,6 +804,22 @@ def test_anchor_and_guide_match_leftward_walk():
                 assert outcome.guide == (anchor,) + _interleave(trimmed, orbit)[:-1]
                 replaced += 1
     assert replaced > 1000
+
+
+def test_guide_reader_matches_open_diagram_walk():
+    # moves._guide walks the guide in the code's own positions; the walk
+    # that bridge_replace made in the open diagram's indices is its oracle.
+    read = 0
+    for corpora in (CORPORA, RII_CORPORA):
+        for corpus in sorted(corpora):
+            for code in corpora[corpus]():
+                if not code.signed or code.n > 12:
+                    continue
+                for bridge in enumerate_bridges(code):
+                    if len(bridge) < code.n:
+                        assert moves._guide(code, bridge) == reference_guide(code, bridge)
+                        read += 1
+    assert read > 4000
 
 
 def test_require_bridge_accepts_exactly_the_runs_of_the_code():

@@ -31,6 +31,7 @@ from helpers import (
     TREFOIL,
     braid_knot_code,
     knot_fingerprint,
+    odd_writhe,
     random_code,
     supporting_genus,
     torus_code,
@@ -350,6 +351,57 @@ def test_replace_keeps_realizable_codes_realizable():
             assert supporting_genus(rii_reduce(result)) == 0, (code, bridge)
             replaced += 1
     assert replaced > 2000
+
+
+# -- virtual codes -----------------------------------------------------------
+
+
+def _virtual_codes(count):
+    """Random codes that are not realizable, n 3-14."""
+    rng = random.Random(11)
+    codes = []
+    while len(codes) < count:
+        code = random_code(rng, rng.randint(3, 14))
+        if supporting_genus(code) > 0:
+            codes.append(code)
+    return codes
+
+
+def test_odd_writhe_is_kept_by_rii_and_rotation_on_virtual_codes():
+    assert odd_writhe(parse_gauss("O1+U2+U1+O2+")) == 2  # the virtual trefoil
+    cancelled = 0
+    for code in _virtual_codes(150):
+        writhe = odd_writhe(code)
+        reduced = rii_reduce(code)
+        assert odd_writhe(reduced) == writhe, code
+        cancelled += reduced is not code
+        for r in range(1, len(code), 3):
+            assert odd_writhe(code.rotated(r)) == writhe, (code, r)
+    assert cancelled > 20
+
+
+def test_odd_writhe_is_zero_on_braid_closures():
+    rng = random.Random(5)
+    for _ in range(200):
+        code = braid_knot_code(rng)
+        assert odd_writhe(code) == 0, code
+    for p, q in ((3, 4), (3, 5), (5, 7)):
+        assert odd_writhe(torus_code(p, q)) == 0
+
+
+def test_replace_keeps_the_genus_but_not_the_virtual_knot_type():
+    # On a virtual code a move still never raises the genus, lowers it
+    # exactly on a bypass and gives the knotoid genus, but the odd writhe,
+    # a virtual-knot invariant, can change.
+    for code in _virtual_codes(20):
+        for bridge in enumerate_bridges(code):
+            outcome = bridge_replace(code, bridge)
+            if odd_writhe(outcome.result) != odd_writhe(code):
+                after = genus(outcome.result)
+                assert after == knotoid_genus(code, bridge) <= genus(code)
+                assert (after < genus(code)) == outcome.strict_decrease_predicted
+                return
+    pytest.fail("no bridge replacement changed the odd writhe of a virtual code")
 
 
 # -- RII reduction -----------------------------------------------------------

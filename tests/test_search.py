@@ -15,7 +15,7 @@ from gaussgenus import (
     search,
     strictly_decreases,
 )
-from helpers import EIGHT_20, TREFOIL, random_code
+from helpers import EIGHT_20, TREFOIL, braid_knot_code, knot_fingerprint, random_code
 
 EIGHT = parse_gauss(EIGHT_20)
 
@@ -181,3 +181,16 @@ def test_result_converts_to_dict():
     as_dict = dataclasses.asdict(result)
     assert as_dict["best_code"] == result.best_code
     assert as_dict["move_trace"][0]["genus_after"] == result.move_trace[0].genus_after
+
+
+def test_search_keeps_the_knot_type_of_braid_closures():
+    # Each move and RII cancellation keeps the knot type of a realizable
+    # code, so the best code a search returns has its root's knot type.
+    rng = random.Random(2011)
+    moved = 0
+    for _ in range(20):
+        code = braid_knot_code(rng)
+        result = search(code, SearchConfig(max_depth=2, beam_width=4))
+        assert knot_fingerprint(result.best_code) == knot_fingerprint(code), code
+        moved += bool(result.move_trace)
+    assert moved >= 15, moved
