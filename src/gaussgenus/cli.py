@@ -20,7 +20,7 @@ import sys
 
 from . import dt as dt_mod
 from . import moves
-from .codes import GaussCode, GaussCodeError, InternalInvariantError, parse_gauss
+from .codes import GaussCode, GaussCodeError, InternalInvariantError, _read_int, parse_gauss
 from .cycles import _circles, cycles, genus
 from .dt import DtCodeError
 from .search import SearchConfig, search as _run_search
@@ -47,13 +47,14 @@ def _read_text(value: str) -> str:
 
 
 def _labels(value: str) -> tuple[int, ...]:
-    try:
-        labels = tuple([int(x) for x in value.split(",") if x.strip()])
-    except ValueError:
-        raise GaussCodeError(f"bad label list {value!r}") from None
+    labels = tuple([_read_int(x.strip(), "label") for x in value.split(",") if x.strip()])
     if not labels:
         raise GaussCodeError("empty label list")
     return labels
+
+
+def _count(value: str) -> int:
+    return _read_int(value, "count", error=argparse.ArgumentTypeError)
 
 
 def _yes(flag: bool) -> str:
@@ -258,9 +259,9 @@ def _fail(rep: dict, fmt: str) -> int:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--min-len", dest="min_len", type=int, default=2)
+    p.add_argument("--depth", type=_count, default=5)
+    p.add_argument("--beam", type=_count, default=None)
+    p.add_argument("--min-len", dest="min_len", type=_count, default=2)
     p.add_argument("--no-rii", dest="no_rii", action="store_true")
     p.add_argument("--strict-only", dest="strict_only", action="store_true")
 
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("cycles", "print every Seifert circle as a unit walk")
     p = add("bridges", "list maximal bridges")
     p.add_argument("--kind", choices=("over", "under", "both"), default="both")
-    p.add_argument("--min-len", dest="min_len", type=int, default=1)
+    p.add_argument("--min-len", dest="min_len", type=_count, default=1)
     p = add("move", "replace one maximal bridge")
     p.add_argument("--bridge", required=True, help="comma-separated crossing labels")
     add("reduce", "cancel RII pairs until none remains")

@@ -6,9 +6,10 @@ and the crossing sign.  Every label occurs exactly twice, once over and once
 under, with equal signs.  Codes need not be planar-realizable; virtual
 diagrams are first-class citizens.
 
-Text format: units are ``O`` or ``U``, decimal digits, then ``+`` or ``-``
-(``?`` for codes without sign data, as produced by DT import).  Whitespace
-between units is ignored, e.g. ``O1-U2-O3-U1-O2-U3-`` is a trefoil diagram.
+Text format: units are ``O`` or ``U``, a label in ASCII decimal digits, then
+``+`` or ``-`` (``?`` for codes without sign data, as produced by DT import).
+Whitespace between units is ignored, e.g. ``O1-U2-O3-U1-O2-U3-`` is a
+trefoil diagram.
 
 Inside the package a unit is one packed int, ``label << 2 | under << 1 |
 negative``; :class:`Unit` objects are built only where a caller reads them.
@@ -29,9 +30,12 @@ UNSIGNED = 0
 
 _SIGN_CHAR = {POSITIVE: "+", NEGATIVE: "-", UNSIGNED: "?"}
 
-_UNIT_RE = re.compile(r"([OU])(\d+)([+\-?])")
+# Outside text spells an int in ASCII digits: re's \d and int() would also
+# read the digits of other scripts, and int() reads '_' between digits.
+_UNIT_RE = re.compile(r"([OU])([0-9]+)([+\-?])")
 # A whole code; where a match stops short of the end, the text is malformed.
-_CODE_RE = re.compile(r"\s*(?:[OU]\d+[+\-?]\s*)*")
+_CODE_RE = re.compile(r"\s*(?:[OU][0-9]+[+\-?]\s*)*")
+_INT_RE = {False: re.compile(r"[0-9]+"), True: re.compile(r"[+-]?[0-9]+")}
 
 # A packed unit is ``label << 2 | under << 1 | negative``.
 _UNDER_BIT = 2
@@ -95,6 +99,19 @@ def _require_int(name: str, value, positive: bool = False) -> None:
         raise GaussCodeError(f"{name} must be an int, not {value!r}")
     if positive and value < 1:
         raise GaussCodeError(f"{name} must be at least 1")
+
+
+def _read_int(token: str, what: str, signed: bool = False, error: type = GaussCodeError) -> int:
+    """The int that ``token`` spells in ASCII decimal digits, after a '+' or
+    '-' only where ``signed``: the one rule for ints in outside text.  The
+    ``error`` it raises quotes at most 20 characters of a refused token."""
+    if _INT_RE[signed].fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise error(f"{what} is too long ({len(token.lstrip('+-'))} digits)") from None
+    shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}..."
+    raise error(f"malformed {what} {shown}")
 
 
 def _kind(c: int) -> str:
@@ -322,16 +339,9 @@ def parse_gauss(text: str) -> GaussCode:
     found = _UNIT_RE.findall(text)
     try:
         packed = tuple([int(digits) << 2 | _LOW_BITS[kind + sign] for kind, digits, sign in found])
-    except ValueError:
-        # int() refuses more digits than sys.get_int_max_str_digits().
+    except ValueError:  # a label of more digits than int() reads
         for m in _UNIT_RE.finditer(text):
-            digits = m.group(2)
-            try:
-                int(digits)
-            except ValueError:
-                raise GaussCodeError(
-                    f"label at offset {m.start()} is too long ({len(digits)} digits)"
-                ) from None
+            _read_int(m.group(2), f"label at offset {m.start()}")
         raise
     if packed and min(packed) < 4:  # label 0
         i = next(i for i, c in enumerate(packed) if c < 4)

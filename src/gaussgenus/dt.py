@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import OVER, UNDER, UNSIGNED, GaussCode, Unit
+from .codes import OVER, UNDER, UNSIGNED, GaussCode, Unit, _read_int
 
 
 class DtCodeError(ValueError):
@@ -53,15 +53,10 @@ class DtCode:
 
 
 def parse_dt(text: str) -> DtCode:
-    """Parse whitespace-separated signed even integers."""
+    """Parse whitespace-separated signed even integers in ASCII digits."""
     if not isinstance(text, str):
         raise DtCodeError(f"DT code text must be a str, not {type(text).__name__}")
-    entries = []
-    for token in text.split():
-        try:
-            entries.append(int(token))
-        except ValueError:
-            raise DtCodeError(f"malformed entry {token!r}") from None
+    entries = [_read_int(t, "entry", signed=True, error=DtCodeError) for t in text.split()]
     return DtCode(tuple(entries))
 
 

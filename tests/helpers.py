@@ -242,6 +242,44 @@ def knot_fingerprint(code: GaussCode) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The field of :func:`alexander_span`, large enough that no coefficient of a
+# test knot's Alexander polynomial is a multiple of it.
+_SPAN_PRIME = 2**31 - 1
+
+
+def _interpolate(xs, ys, p):
+    """Coefficients, lowest degree first, of the polynomial of degree below
+    len(xs) through the points (xs, ys) over GF(p) (Lagrange)."""
+    k = len(xs)
+    master = [1]  # the product of (t - x) over xs
+    for x in xs:
+        master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
+    coeffs = [0] * k
+    for xi, yi in zip(xs, ys):
+        basis, carry = [0] * k, 0  # master / (t - xi), by synthetic division
+        for d in range(k, 0, -1):
+            carry = (master[d] + carry * xi) % p
+            basis[d - 1] = carry
+        at_xi = sum(c * pow(xi, d, p) for d, c in enumerate(basis)) % p
+        scale = yi * pow(at_xi, p - 2, p) % p
+        coeffs = [(a + scale * b) % p for a, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def alexander_span(code: GaussCode) -> int:
+    """The span of the Alexander polynomial of a realizable code's knot:
+    its highest less its lowest degree.
+
+    The Alexander minor of :func:`_alexander_eval` has degree at most n - 1
+    in t, so n + 1 evaluations over GF(p) and a Lagrange interpolation give
+    its coefficients.  span(Delta) <= 2 * (knot genus) <= 2 * genus(code).
+    """
+    xs = list(range(1, code.n + 2))
+    ys = [_alexander_eval(code, x, _SPAN_PRIME) for x in xs]
+    degrees = [d for d, c in enumerate(_interpolate(xs, ys, _SPAN_PRIME)) if c]
+    return degrees[-1] - degrees[0]
+
+
 # -- virtual invariants ------------------------------------------------------
 
 
@@ -259,3 +297,33 @@ def odd_writhe(code: GaussCode) -> int:
         if (b - a) % 2 == 0:
             total += 1 if code.units[a].sign == POSITIVE else -1
     return total
+
+
+def writhe_polynomial(code: GaussCode) -> tuple[tuple[int, int], ...]:
+    """The writhe (affine index) polynomial, sum of sign(c) (t^ind(c) - 1)
+    over the chords c, as (exponent, coefficient) pairs with nonzero
+    coefficients, by exponent.
+
+    In the Gauss diagram each chord is an arrow from its O pass to its U
+    pass.  The index of chord c sums, over the chords d that cross it, the
+    sign of d, counted + when d's U pass lies on the arc that runs forward
+    from c's O pass to c's U pass and - when its O pass does.  It is an
+    invariant of virtual knots; on a realizable code every index is 0, so
+    the polynomial is 0 (the empty tuple).
+    """
+    m = len(code.units)
+    arrows = []  # (O position, U position, sign) of each chord
+    for i, u in enumerate(code.units):
+        if u.kind == OVER:
+            arrows.append((i, code.partner[i], 1 if u.sign == POSITIVE else -1))
+    terms: dict[int, int] = {}
+    for a, b, sign in arrows:
+        index = 0
+        for oa, ub, other in arrows:
+            head = (ub - a) % m < (b - a) % m  # on the arc a -> b
+            tail = (oa - a) % m < (b - a) % m
+            if head != tail and (oa, ub) != (a, b):
+                index += other if head else -other
+        terms[index] = terms.get(index, 0) + sign
+        terms[0] = terms.get(0, 0) - sign
+    return tuple(sorted((e, c) for e, c in terms.items() if c))

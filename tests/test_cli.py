@@ -318,6 +318,73 @@ def test_out_of_range_search_flags_exit_one(capsys, monkeypatch, argv):
     assert err.startswith("gaussgenus: ") and "must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("\u0661", "malformed label '\u0661'"),  # an Arabic-Indic 1
+        ("1_0", "malformed label '1_0'"),
+        ("+1", "malformed label '+1'"),
+        ("-1", "malformed label '-1'"),
+        ("4,+5", "malformed label '+5'"),
+    ],
+    ids=["arabic-indic", "underscore", "plus", "minus", "plus-second"],
+)
+def test_bridge_labels_are_ascii_digits(capsys, value, message):
+    for op in ("move", "knotoid-genus"):
+        status, out, err = run(capsys, op, EIGHT_20, "--bridge", value)
+        assert (status, out, err) == (1, "", f"gaussgenus: {message}\n")
+
+
+def test_bridge_labels_may_be_spaced():
+    assert cli._labels(" 4, 5,") == (4, 5)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--depth", "\u0663"), "argument --depth: malformed count '\u0663'"),
+        (("--depth", "1_0"), "argument --depth: malformed count '1_0'"),
+        (("--beam", "+1"), "argument --beam: malformed count '+1'"),
+        (("--min-len", "+2"), "argument --min-len: malformed count '+2'"),
+        (("--depth", "-1"), "argument --depth: malformed count '-1'"),
+    ],
+    ids=["arabic-indic", "underscore", "plus-beam", "plus-min-len", "minus"],
+)
+def test_search_counts_are_ascii_digits(capsys, flags, message):
+    for argv in (["search", EIGHT_20], ["batch", "-", "--op", "search"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flags])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gaussgenus {argv[0]}: error: {message}\n"
+
+
+def test_bridges_min_len_is_ascii_digits(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bridges", EIGHT_20, "--min-len", "\u0662"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "gaussgenus bridges: error: argument --min-len: malformed count '\u0662'\n"
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"
+)
+def test_overlong_numbers_get_short_messages(capsys):
+    long = "9" * 5000
+    status, out, err = run(capsys, "move", EIGHT_20, "--bridge", f"4,{long}")
+    assert (status, out, err) == (1, "", "gaussgenus: label is too long (5000 digits)\n")
+    status, out, err = run(capsys, "import-dt", f"2 {long}")
+    assert (status, out, err) == (1, "", "gaussgenus: entry is too long (5000 digits)\n")
+    with pytest.raises(SystemExit):
+        main(["search", EIGHT_20, "--depth", long])
+    assert capsys.readouterr().err == (
+        "gaussgenus search: error: argument --depth: count is too long (5000 digits)\n"
+    )
+
+
 def test_stdin_dash(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", bytes_stdin(TREFOIL.encode() + b"\n"))
     status, out, _ = run(capsys, "genus", "-")

@@ -38,6 +38,7 @@ from gaussgenus import (
     search,
     strictly_decreases,
 )
+from gaussgenus import codes
 from helpers import EIGHT_20, TREFOIL, random_code
 
 
@@ -152,6 +153,54 @@ def test_parse_rejects_overlong_label():
     long = "9" * 5000
     with pytest.raises(GaussCodeError, match=r"label at offset 7 is too long \(5000 digits\)"):
         parse_gauss(f"O1+U1+ O{long}+U{long}+")
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("O\u0661-U\u0661-", 0), ("O1+U1+ O\uff12+U\uff12+", 7)],
+    ids=["arabic-indic", "fullwidth"],
+)
+def test_parse_reads_only_ascii_digits(text, offset):
+    # re's \d and int() read the digits of every script; labels are ASCII.
+    with pytest.raises(GaussCodeError, match=f"malformed unit at offset {offset}: "):
+        parse_gauss(text)
+
+
+@pytest.mark.parametrize(
+    "token, signed, message",
+    [
+        ("\u0663", False, "malformed count '\u0663'"),
+        ("1_0", False, "malformed count '1_0'"),
+        ("+2", False, "malformed count '+2'"),
+        ("-2", False, "malformed count '-2'"),
+        (" 2", False, "malformed count ' 2'"),
+        ("", False, "malformed count ''"),
+        ("2_0", True, "malformed count '2_0'"),
+        ("+-2", True, "malformed count '+-2'"),
+        ("x" * 21, False, f"malformed count {'x' * 20!r}..."),
+    ],
+    ids=["arabic-indic", "underscore", "plus", "minus", "space", "empty",
+         "signed-underscore", "two-signs", "clipped"],
+)
+def test_read_int_refuses_all_but_ascii_digits(token, signed, message):
+    with pytest.raises(GaussCodeError) as err:
+        codes._read_int(token, "count", signed)
+    assert str(err.value) == message
+
+
+def test_read_int_reads_ascii_digits_and_a_sign_where_allowed():
+    assert codes._read_int("007", "count") == 7
+    assert codes._read_int("+4", "entry", signed=True) == 4
+    assert codes._read_int("-12", "entry", signed=True) == -12
+    with pytest.raises(DtCodeError, match="^malformed entry 'x'$"):
+        codes._read_int("x", "entry", True, DtCodeError)
+
+
+@int_digit_limit
+def test_read_int_names_an_overlong_token_by_its_length():
+    with pytest.raises(GaussCodeError) as err:
+        codes._read_int("-" + "9" * 5000, "entry", signed=True)
+    assert str(err.value) == "entry is too long (5000 digits)"
 
 
 def test_unsigned_round_trip():

@@ -1,6 +1,7 @@
 """DT-code parsing and conversion."""
 
 import random
+import sys
 
 import pytest
 
@@ -87,3 +88,31 @@ def test_entries_must_be_ints(entries):
     # 4.0 would serialize as text that parse_dt rejects.
     with pytest.raises(DtCodeError, match="is not an int"):
         DtCode(entries)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\u0664 -2", "malformed entry '\u0664'"),  # an Arabic-Indic 4
+        ("+4 2_0", "malformed entry '2_0'"),
+    ],
+    ids=["arabic-indic", "underscore"],
+)
+def test_entries_are_ascii_digits(text, message):
+    # int() reads both "\u0664" and "2_0"; a DT entry is ASCII digits only.
+    with pytest.raises(DtCodeError) as err:
+        parse_dt(text)
+    assert str(err.value) == message
+
+
+def test_entries_keep_their_sign():
+    assert parse_dt("+4 -2").entries == (4, -2)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"
+)
+def test_overlong_entry_gets_a_short_message():
+    with pytest.raises(DtCodeError) as err:
+        parse_dt("2 -" + "4" * 5000)
+    assert str(err.value) == "entry is too long (5000 digits)"

@@ -35,6 +35,7 @@ from helpers import (
     random_code,
     supporting_genus,
     torus_code,
+    writhe_polynomial,
 )
 from test_kernels import _cancellable_pairs
 
@@ -387,6 +388,52 @@ def test_odd_writhe_is_zero_on_braid_closures():
         assert odd_writhe(code) == 0, code
     for p, q in ((3, 4), (3, 5), (5, 7)):
         assert odd_writhe(torus_code(p, q)) == 0
+
+
+def test_writhe_polynomial_is_kept_by_rii_and_rotation_on_virtual_codes():
+    # t + t^-1 - 2 for the virtual trefoil
+    assert writhe_polynomial(parse_gauss("O1+U2+U1+O2+")) == ((-1, 1), (0, -2), (1, 1))
+    cancelled = 0
+    for code in _virtual_codes(150):
+        polynomial = writhe_polynomial(code)
+        reduced = rii_reduce(code)
+        assert writhe_polynomial(reduced) == polynomial, code
+        cancelled += reduced is not code
+        for r in range(1, len(code), 3):
+            assert writhe_polynomial(code.rotated(r)) == polynomial, (code, r)
+    assert cancelled > 20
+
+
+def test_writhe_polynomial_is_zero_on_braid_closures():
+    rng = random.Random(5)
+    for _ in range(200):
+        code = braid_knot_code(rng)
+        assert writhe_polynomial(code) == (), code
+    for p, q in ((3, 4), (3, 5), (5, 7)):
+        assert writhe_polynomial(torus_code(p, q)) == ()
+
+
+def test_writhe_polynomial_is_kept_by_every_move_on_realizable_codes():
+    rng = random.Random(77)
+    moves = 0
+    for _ in range(60):
+        code = braid_knot_code(rng)
+        for bridge in enumerate_bridges(code):
+            result = bridge_replace(code, bridge).result
+            assert writhe_polynomial(result) == (), (code, bridge)
+            assert writhe_polynomial(rii_reduce(result)) == (), (code, bridge)
+            moves += 1
+    assert moves > 300
+
+
+def test_replace_can_change_the_writhe_polynomial_of_a_virtual_code():
+    for code in _virtual_codes(20):
+        for bridge in enumerate_bridges(code):
+            outcome = bridge_replace(code, bridge)
+            if writhe_polynomial(outcome.result) != writhe_polynomial(code):
+                assert genus(outcome.result) == knotoid_genus(code, bridge) <= genus(code)
+                return
+    pytest.fail("no bridge replacement changed the writhe polynomial of a virtual code")
 
 
 def test_replace_keeps_the_genus_but_not_the_virtual_knot_type():

@@ -15,7 +15,15 @@ from gaussgenus import (
     search,
     strictly_decreases,
 )
-from helpers import EIGHT_20, TREFOIL, braid_knot_code, knot_fingerprint, random_code
+from helpers import (
+    EIGHT_20,
+    TREFOIL,
+    alexander_span,
+    braid_knot_code,
+    knot_fingerprint,
+    random_code,
+    torus_code,
+)
 
 EIGHT = parse_gauss(EIGHT_20)
 
@@ -194,3 +202,32 @@ def test_search_keeps_the_knot_type_of_braid_closures():
         assert knot_fingerprint(result.best_code) == knot_fingerprint(code), code
         moved += bool(result.move_trace)
     assert moved >= 15, moved
+
+
+def test_alexander_span_fixtures():
+    assert alexander_span(parse_gauss("")) == 0
+    assert alexander_span(parse_gauss(TREFOIL)) == 2
+    assert alexander_span(EIGHT) == 4
+    assert alexander_span(torus_code(3, 5)) == 8
+    assert alexander_span(torus_code(3, 7)) == 12
+
+
+def test_search_never_goes_below_the_alexander_bound():
+    # span(Delta) <= 2 * (knot genus) <= 2 * (Seifert genus of any diagram of
+    # the knot), and moves keep the knot type of a realizable code.
+    rng = random.Random(2011)
+    certified = 0
+    for _ in range(20):
+        code = braid_knot_code(rng)
+        span = alexander_span(code)
+        best = search(code, SearchConfig(max_depth=2, beam_width=4)).best_genus
+        assert 2 * best >= span, code
+        certified += 2 * best == span
+    assert certified >= 15, certified
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (2, 7), (3, 4), (3, 5), (4, 5)])
+def test_search_meets_the_alexander_bound_on_torus_closures(p, q):
+    code = torus_code(p, q)
+    result = search(code, SearchConfig(max_depth=2, beam_width=4))
+    assert 2 * result.best_genus == alexander_span(code) == (p - 1) * (q - 1)
