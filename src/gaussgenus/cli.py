@@ -54,7 +54,12 @@ def _labels(value: str) -> tuple[int, ...]:
 
 
 def _count(value: str) -> int:
-    return _read_int(value, "count", error=argparse.ArgumentTypeError)
+    # A count below 1 is a usage error, as a malformed one is, so it is
+    # refused before any input is read.
+    count = _read_int(value, "count", error=argparse.ArgumentTypeError)
+    if count < 1:
+        raise argparse.ArgumentTypeError("count must be at least 1")
+    return count
 
 
 def _yes(flag: bool) -> str:
@@ -317,15 +322,15 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "text")
     batch = args.op_name == "batch"
     op = args.batch_op if batch else args.op_name
+    if op == "search":  # _count has refused every count below 1
+        args.config = SearchConfig(
+            max_depth=args.depth,
+            beam_width=args.beam,
+            min_bridge_len=args.min_len,
+            apply_rii=not args.no_rii,
+            only_strict=args.strict_only,
+        )
     try:
-        if op == "search":  # an out-of-range flag raises GaussCodeError
-            args.config = SearchConfig(
-                max_depth=args.depth,
-                beam_width=args.beam,
-                min_bridge_len=args.min_len,
-                apply_rii=not args.no_rii,
-                only_strict=args.strict_only,
-            )
         if batch:
             inputs = [(line, line) for line in _batch_lines(args.input)]
         else:

@@ -85,7 +85,9 @@ def _label_set(labels) -> tuple[frozenset[int], frozenset]:
             (ints if type(x) is int else others).append(x)
         return frozenset(ints), frozenset(others)
     except TypeError:  # not iterable, or holding unhashable items
-        raise GaussCodeError(f"labels must be an iterable of ints, not {labels!r}") from None
+        raise GaussCodeError(
+            f"labels must be an iterable of ints, not {_shown(labels, quote=True)}"
+        ) from None
 
 
 def _require_code(code) -> None:
@@ -96,22 +98,37 @@ def _require_code(code) -> None:
 
 def _require_int(name: str, value, positive: bool = False) -> None:
     if type(value) is not int:  # 1.5, "1" and True alike
-        raise GaussCodeError(f"{name} must be an int, not {value!r}")
+        raise GaussCodeError(f"{name} must be an int, not {_shown(value, quote=True)}")
     if positive and value < 1:
         raise GaussCodeError(f"{name} must be at least 1")
 
 
+def _shown(token, quote: bool = False) -> str:
+    """``token``, a token of outside text, a label or an entry, as an error
+    message echoes it: at most 20 characters (an int's digits after its
+    sign), then "..." if it is longer.  Ints are written in digits; a str,
+    or the ``repr`` of anything else, is quoted where ``quote``."""
+    sign = ""
+    if type(token) is int:
+        # Its leading digits only, as str() refuses an int of more digits than
+        # sys.get_int_max_str_digits(); 0.30102999 < log10(2) keeps at least 21.
+        sign, token = "-" if token < 0 else "", abs(token)
+        text = str(token // 10 ** max(int((token.bit_length() - 1) * 0.30102999) - 20, 0))
+    else:
+        text = repr(token) if quote and not isinstance(token, str) else str(token)
+    shown = repr(text[:20]) if quote and isinstance(token, str) else text[:20]
+    return sign + shown + ("..." if len(text) > 20 else "")
+
+
 def _read_int(token: str, what: str, signed: bool = False, error: type = GaussCodeError) -> int:
     """The int that ``token`` spells in ASCII decimal digits, after a '+' or
-    '-' only where ``signed``: the one rule for ints in outside text.  The
-    ``error`` it raises quotes at most 20 characters of a refused token."""
+    '-' only where ``signed``: the one rule for ints in outside text."""
     if _INT_RE[signed].fullmatch(token):
         try:
             return int(token)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise error(f"{what} is too long ({len(token.lstrip('+-'))} digits)") from None
-    shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}..."
-    raise error(f"malformed {what} {shown}")
+    raise error(f"malformed {what} {_shown(token, quote=True)}")
 
 
 def _kind(c: int) -> str:
@@ -144,17 +161,19 @@ def _pair(packed: tuple[int, ...], mixed: list[bool] | None = None) -> tuple[int
         k = partner[j]
         if k < 0:  # seen once, or more than twice
             count = sum(c >> 2 == label for c in packed)
-            raise GaussCodeError(f"label {label} appears {count} time(s), expected exactly twice")
+            raise GaussCodeError(
+                f"label {_shown(label)} appears {count} time(s), expected exactly twice"
+            )
         differ = packed[j] ^ packed[k]
         if not differ & _UNDER_BIT:
             raise GaussCodeError(
-                f"label {label} passes {_kind(packed[j])} twice (needs one O and one U)"
+                f"label {_shown(label)} passes {_kind(packed[j])} twice (needs one O and one U)"
             )
         if differ & _NEGATIVE_BIT or (mixed is not None and mixed[j] != mixed[k]):
-            raise GaussCodeError(f"label {label} carries two different signs")
+            raise GaussCodeError(f"label {_shown(label)} carries two different signs")
     if mixed is not None:
         bad = next(c >> 2 for c, flag in zip(packed, mixed) if flag)
-        raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
+        raise GaussCodeError(f"mixed signedness (label {_shown(bad)} is unsigned)")
     return tuple(partner)
 
 
@@ -189,7 +208,9 @@ class GaussCode:
                     raise GaussCodeError(f"bad pass letter {kind!r} at position {i}")
                 label = u.label
                 if label < 1 or type(label) is not int:  # 1.0 and True print apart
-                    raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
+                    raise GaussCodeError(
+                        f"label {_shown(label, quote=True)} at position {i} (ints from 1)"
+                    )
                 sign = u.sign
                 if sign not in _SIGN_CHAR:
                     raise GaussCodeError(f"bad sign value {sign!r} at position {i}")
@@ -294,7 +315,7 @@ class GaussCode:
             for i, c in enumerate(self.packed):
                 if c >> 2 == label:
                     return i, self.partner[i]
-        raise GaussCodeError(f"unknown label {label}")
+        raise GaussCodeError(f"unknown label {_shown(label)}")
 
     def successor(self, position: int) -> int:
         _require_int("position", position)
@@ -437,12 +458,12 @@ def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
     for label, sign in signs.items():
         _require_int("label", label)
         if type(sign) is not int or sign not in (POSITIVE, NEGATIVE):
-            raise GaussCodeError(f"sign for label {label} must be positive or negative")
+            raise GaussCodeError(f"sign for label {_shown(label)} must be positive or negative")
     out = []
     for c in code.packed:
         label = c >> 2
         if label not in signs:
-            raise GaussCodeError(f"label {label} unsigned")
+            raise GaussCodeError(f"label {_shown(label)} unsigned")
         out.append(c | (signs[label] == NEGATIVE))
     return GaussCode._validated(tuple(out), signed=True)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import OVER, UNDER, UNSIGNED, GaussCode, Unit, _read_int
+from .codes import OVER, UNDER, UNSIGNED, GaussCode, Unit, _read_int, _shown
 
 
 class DtCodeError(ValueError):
@@ -28,18 +28,18 @@ class DtCode:
         problems = []
         for e in self.entries:
             if type(e) is not int:  # 4.0 would print as text parse_dt rejects
-                raise DtCodeError(f"entry {e!r} is not an int")
+                raise DtCodeError(f"entry {_shown(e, quote=True)} is not an int")
             if e == 0:
                 raise DtCodeError("zero entry")
             if e % 2:
-                raise DtCodeError(f"odd entry {e}")
+                raise DtCodeError(f"odd entry {_shown(e)}")
         n = len(self.entries)
         expected = set(range(2, 2 * n + 1, 2))
         seen: dict[int, int] = {}
         for e in self.entries:
             seen[abs(e)] = seen.get(abs(e), 0) + 1
-        problems += [f"duplicate {v}" for v in sorted(seen) if seen[v] > 1]
-        problems += [f"out-of-range {v}" for v in sorted(seen) if v not in expected]
+        problems += [f"duplicate {_shown(v)}" for v in sorted(seen) if seen[v] > 1]
+        problems += [f"out-of-range {_shown(v)}" for v in sorted(seen) if v not in expected]
         problems += [f"missing {v}" for v in sorted(expected - seen.keys())]
         if problems:
             raise DtCodeError(", ".join(problems))

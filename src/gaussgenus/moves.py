@@ -27,6 +27,7 @@ from .codes import (
     _require_code,
     _require_int,
     _restrict,
+    _shown,
     _units_of,
 )
 # ``canonical_rotation`` and ``cycles`` are unused here but stay bound:
@@ -123,7 +124,7 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
     for b in enumerate_bridges(code):
         if not others and frozenset(b.labels) == target:
             return b
-    pretty = ",".join(str(x) for x in sorted([*target, *others], key=_label_key))
+    pretty = ",".join(_shown(x) for x in sorted([*target, *others], key=_label_key))
     raise GaussCodeError(f"labels {{{pretty}}} do not form a maximal bridge")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import random
 
 from gaussgenus import (
     NEGATIVE,
@@ -12,6 +13,7 @@ from gaussgenus import (
     UNSIGNED,
     GaussCode,
     Unit,
+    parse_gauss,
 )
 from gaussgenus.cycles import _circles
 
@@ -115,6 +117,110 @@ def torus_code(p, q) -> GaussCode:
     code = braid_closure_code([(j, 1) for j in range(1, p)] * q)
     assert code is not None, f"T({p},{q}) is a link"
     return code
+
+
+# -- corpora of the kernel tests ----------------------------------------------
+#
+# Each generator is run once per session by the ``corpora`` fixture of
+# conftest.py; the kernel tests read its tuples.
+
+
+def _presented(rng, code):
+    """The same diagram with shuffled labels, read from a random unit."""
+    labels = sorted(code.labels)
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    relabel = dict(zip(labels, shuffled))
+    units = [u._replace(label=relabel[u.label]) for u in code.units]
+    return GaussCode(units).rotated(rng.randrange(len(units)))
+
+
+def _random_codes():
+    rng = random.Random(8128)
+    sizes = [rng.randint(0, 12) for _ in range(150)] + [rng.randint(13, 200) for _ in range(25)]
+    fixtures = [parse_gauss(TREFOIL), parse_gauss(EIGHT_20)]
+    return fixtures + [random_code(rng, n, signed=rng.random() < 0.8) for n in sizes]
+
+
+def _braid_codes():
+    rng = random.Random(6174)
+    return [braid_knot_code(rng, max_strands=6, max_len=16) for _ in range(60)]
+
+
+TORUS = [(3, q) for q in (2, 4, 5, 7, 8, 10, 11)] + [(5, q) for q in (2, 3, 4, 6, 7, 8, 9)]
+
+
+def _torus_codes():
+    rng = random.Random(1729)
+    out = []
+    for p, q in TORUS:
+        code = torus_code(p, q)
+        out += [code] + [_presented(rng, code) for _ in range(3)]
+    return out
+
+
+CORPORA = {"random": _random_codes, "braid": _braid_codes, "torus": _torus_codes}
+
+
+def _padded_braid_codes():
+    """Braid closures with cancelling s_j s_j^-1 pairs inserted in the word."""
+    rng = random.Random(2718)
+    out = []
+    while len(out) < 80:
+        strands = rng.randint(2, 6)
+        word = [
+            (rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(2, 14))
+        ]
+        for _ in range(rng.randint(1, 8)):
+            j, eps = rng.randint(1, strands - 1), rng.choice((1, -1))
+            at = rng.randint(0, len(word))
+            word[at:at] = [(j, eps), (j, -eps)]
+        code = braid_closure_code(word)
+        if code is not None:
+            out.append(code.rotated(rng.randrange(len(code))))
+    return out
+
+
+def _chain_heavy_codes():
+    """Random codes with alternating-sign chains inserted: an O run of 2-5
+    passes and the matching U run, forward or reversed, anywhere in the code
+    (inside other chains too), with the chain's pass letters optionally
+    flipped; read from a random unit."""
+    rng = random.Random(1618)
+    out = []
+    for _ in range(300):
+        units = list(random_code(rng, rng.randint(0, 6)).units)
+        label = len(units) // 2
+        for _ in range(rng.randint(1, 4)):
+            length = rng.randint(2, 5)
+            sign = rng.choice((POSITIVE, NEGATIVE))
+            top, bottom = (UNDER, OVER) if rng.random() < 0.3 else (OVER, UNDER)
+            chain = [(label + t, sign if t % 2 else -sign) for t in range(1, length + 1)]
+            label += length
+            first = [Unit(top, lab, sg) for lab, sg in chain]
+            second = [Unit(bottom, lab, sg) for lab, sg in chain]
+            if rng.random() < 0.5:
+                second.reverse()
+            at = rng.randint(0, len(units))
+            units[at:at] = first
+            at = rng.randint(0, len(units))
+            units[at:at] = second
+        code = GaussCode(units)
+        out.append(code.rotated(rng.randrange(len(code))))
+    return out
+
+
+def _signed_random_codes():
+    rng = random.Random(4096)
+    fixtures = [parse_gauss(TREFOIL), parse_gauss(EIGHT_20), parse_gauss(RII_PAIR)]
+    return fixtures + [random_code(rng, rng.randint(0, 14)) for _ in range(400)]
+
+
+RII_CORPORA = {
+    "random": _signed_random_codes,
+    "padded_braid": _padded_braid_codes,
+    "chain_heavy": _chain_heavy_codes,
+}
 
 
 # -- realizability oracle ------------------------------------------------------

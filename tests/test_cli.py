@@ -33,7 +33,10 @@ from helpers import (
 
 
 def run(capsys, *argv):
-    status = main(list(argv))
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:  # a usage error, as a process would see it
+        status = exc.code
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
@@ -189,10 +192,8 @@ def test_search_beam_one_expands_one_node_per_depth(capsys):
 
 
 def test_search_strategy_flag_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", EIGHT_20, "--strategy", "bfs"])
-    assert exc.value.code == 1
-    assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+    status, _, err = run(capsys, "search", EIGHT_20, "--strategy", "bfs")
+    assert status == 1 and "unrecognized arguments: --strategy" in err
 
 
 def _json_search(capsys, *flags) -> dict:
@@ -308,14 +309,19 @@ def test_overlong_label_is_invalid_input(tmp_path, capsys):
         ("search", TREFOIL, "--depth", "0"),
         ("search", TREFOIL, "--beam", "0"),
         ("batch", "-", "--op", "search", "--beam", "0"),
+        ("search", "-", "--depth", "-1"),
+        ("bridges", "-", "--min-len", "0"),
     ],
 )
 def test_out_of_range_search_flags_exit_one(capsys, monkeypatch, argv):
+    # A count below 1, 0 as -1, is a usage error refused before any input is
+    # read: nothing on stdout, in JSON too.
     monkeypatch.setattr("sys.stdin", bytes_stdin(TREFOIL.encode() + b"\n"))
-    status, out, err = run(capsys, *argv)
-    assert status == 1
-    assert out == ""
-    assert err.startswith("gaussgenus: ") and "must be at least 1" in err
+    *_, flag, value = argv
+    why = "count must be at least 1" if value == "0" else f"malformed count '{value}'"
+    status, out, err = run(capsys, "--format", "json", *argv)
+    assert (status, out, err) == (1, "", f"gaussgenus {argv[0]}: error: argument {flag}: {why}\n")
+    assert sys.stdin.read() == TREFOIL + "\n"
 
 
 @pytest.mark.parametrize(
@@ -352,20 +358,14 @@ def test_bridge_labels_may_be_spaced():
 )
 def test_search_counts_are_ascii_digits(capsys, flags, message):
     for argv in (["search", EIGHT_20], ["batch", "-", "--op", "search"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, *flags])
-        assert exc.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"gaussgenus {argv[0]}: error: {message}\n"
+        status, out, err = run(capsys, *argv, *flags)
+        assert (status, out, err) == (1, "", f"gaussgenus {argv[0]}: error: {message}\n")
 
 
 def test_bridges_min_len_is_ascii_digits(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bridges", EIGHT_20, "--min-len", "\u0662"])
-    assert exc.value.code == 1
-    assert capsys.readouterr().err == (
-        "gaussgenus bridges: error: argument --min-len: malformed count '\u0662'\n"
+    status, out, err = run(capsys, "bridges", EIGHT_20, "--min-len", "\u0662")
+    assert (status, out, err) == (
+        1, "", "gaussgenus bridges: error: argument --min-len: malformed count '\u0662'\n"
     )
 
 
@@ -378,10 +378,8 @@ def test_overlong_numbers_get_short_messages(capsys):
     assert (status, out, err) == (1, "", "gaussgenus: label is too long (5000 digits)\n")
     status, out, err = run(capsys, "import-dt", f"2 {long}")
     assert (status, out, err) == (1, "", "gaussgenus: entry is too long (5000 digits)\n")
-    with pytest.raises(SystemExit):
-        main(["search", EIGHT_20, "--depth", long])
-    assert capsys.readouterr().err == (
-        "gaussgenus search: error: argument --depth: count is too long (5000 digits)\n"
+    assert run(capsys, "search", EIGHT_20, "--depth", long) == (
+        1, "", "gaussgenus search: error: argument --depth: count is too long (5000 digits)\n"
     )
 
 
@@ -393,9 +391,7 @@ def test_stdin_dash(capsys, monkeypatch):
 
 
 def test_unknown_flag_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["genus", "--bogus", TREFOIL])
-    assert exc.value.code == 1
+    assert run(capsys, "genus", "--bogus", TREFOIL)[0] == 1
 
 
 def test_missing_subcommand_exits_one(capsys):

@@ -32,6 +32,7 @@ from gaussgenus import (
     genus,
     genus_oracle,
     knotoid_genus,
+    parse_dt,
     parse_gauss,
     remove_chords,
     rii_reduce,
@@ -201,6 +202,26 @@ def test_read_int_names_an_overlong_token_by_its_length():
     with pytest.raises(GaussCodeError) as err:
         codes._read_int("-" + "9" * 5000, "entry", signed=True)
     assert str(err.value) == "entry is too long (5000 digits)"
+
+
+# A label or entry of more than 20 digits is echoed by its first 20 and "...".
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_gauss("O1+U1+O" + "9" * 4000 + "+"), f"label {'9' * 20}... appears 1 "),
+        (lambda: parse_gauss("O1+U1+O" + "9" * 20 + "+"), f"label {'9' * 20} appears 1 "),
+        (lambda: parse_gauss(f"O{'7' * 3000}+U{'7' * 3000}-"), f"label {'7' * 20}... carries "),
+        (lambda: parse_dt("2 " + "4" * 4000), f"out-of-range {'4' * 20}..., missing 4"),
+        (lambda: remove_chords(parse_gauss("O1-U1-"), [10**4000]), f"unknown label 1{'0' * 19}..."),
+        # str() refuses an int of more than 4300 digits
+        (lambda: parse_gauss("O1-U1-").positions_of(10**5000), f"unknown label 1{'0' * 19}..."),
+    ],
+    ids=["unpaired", "unpaired-20-digits", "two-signs", "dt-entry", "remove-chords", "10**5000"],
+)
+def test_long_labels_are_clipped_in_messages(call, message):
+    with pytest.raises((GaussCodeError, DtCodeError)) as err:
+        call()
+    assert str(err.value).startswith(message) and len(str(err.value)) < 80, str(err.value)[:200]
 
 
 def test_unsigned_round_trip():

@@ -63,16 +63,7 @@ from gaussgenus.codes import (
 )
 from gaussgenus.cycles import sigma_orbit
 from gaussgenus.search import _order_key
-from helpers import (
-    EIGHT_20,
-    RII_PAIR,
-    TREFOIL,
-    assert_as_validated,
-    braid_closure_code,
-    braid_knot_code,
-    random_code,
-    torus_code,
-)
+from helpers import CORPORA, RII_CORPORA, TORUS, assert_as_validated, random_code, torus_code
 
 # -- reference implementations ------------------------------------------------
 
@@ -202,11 +193,9 @@ def reference_parse_gauss(text):
     return GaussCode(units)
 
 
-def reference_validate(units):
-    """The validator that indexed every label's positions and paired the
-    chords in a later loop: ``(units, partner)`` of a valid code."""
-    units = tuple(units)
-    label_pos = {}
+def _unit_labels(units):
+    """The label of each unit, after the checks of its fields, unit by unit."""
+    labels = []
     try:
         for i, u in enumerate(units):
             if u.kind not in (OVER, UNDER):
@@ -216,19 +205,33 @@ def reference_validate(units):
                 raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
             if u.sign not in _SIGN_CHAR:
                 raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
-            label_pos.setdefault(label, []).append(i)
+            labels.append(label)
     except (AttributeError, TypeError):
         raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
+    return labels
+
+
+def _check_pair(label, a, b):
+    """The pass and sign checks of the two units of a label."""
+    if a.kind == b.kind:
+        raise GaussCodeError(f"label {label} passes {a.kind} twice (needs one O and one U)")
+    if a.sign != b.sign:
+        raise GaussCodeError(f"label {label} carries two different signs")
+
+
+def reference_validate(units):
+    """The validator that indexed every label's positions and paired the
+    chords in a later loop: ``(units, partner)`` of a valid code."""
+    units = tuple(units)
+    label_pos = {}
+    for i, label in enumerate(_unit_labels(units)):
+        label_pos.setdefault(label, []).append(i)
     for label, pos in label_pos.items():
         if len(pos) != 2:
             raise GaussCodeError(
                 f"label {label} appears {len(pos)} time(s), expected exactly twice"
             )
-        a, b = (units[p] for p in pos)
-        if a.kind == b.kind:
-            raise GaussCodeError(f"label {label} passes {a.kind} twice (needs one O and one U)")
-        if a.sign != b.sign:
-            raise GaussCodeError(f"label {label} carries two different signs")
+        _check_pair(label, *(units[p] for p in pos))
     if len({u.sign == UNSIGNED for u in units}) > 1:
         bad = next(u.label for u in units if u.sign == UNSIGNED)
         raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
@@ -354,29 +357,15 @@ def unit_validate(units):
     units = tuple(units)
     partner = [-1] * len(units)
     first = {}
-    try:
-        for i, u in enumerate(units):
-            if u.kind not in (OVER, UNDER):
-                raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
-            label = u.label
-            if label < 1 or type(label) is not int:
-                raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
-            if u.sign not in _SIGN_CHAR:
-                raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
-            j = first.setdefault(label, i)
-            if j != i:
-                partner[i], partner[j] = (j, i) if partner[j] == -1 else (-1, -2)
-    except (AttributeError, TypeError):
-        raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
+    for i, label in enumerate(_unit_labels(units)):
+        j = first.setdefault(label, i)
+        if j != i:
+            partner[i], partner[j] = (j, i) if partner[j] == -1 else (-1, -2)
     for label, j in first.items():
         if partner[j] < 0:
             count = sum(u.label == label for u in units)
             raise GaussCodeError(f"label {label} appears {count} time(s), expected exactly twice")
-        a, b = units[j], units[partner[j]]
-        if a.kind == b.kind:
-            raise GaussCodeError(f"label {label} passes {a.kind} twice (needs one O and one U)")
-        if a.sign != b.sign:
-            raise GaussCodeError(f"label {label} carries two different signs")
+        _check_pair(label, units[j], units[partner[j]])
     if len({units[j].sign == UNSIGNED for j in first.values()}) > 1:
         bad = next(u.label for u in units if u.sign == UNSIGNED)
         raise GaussCodeError(f"mixed signedness (label {bad} is unsigned)")
@@ -468,114 +457,13 @@ def unit_bridge_replace(code, bridge):
     return tuple(out), trimmed.units[xc], guide, tuple(a for a, _, _ in patterns), inserted
 
 
-# -- corpus ------------------------------------------------------------------
-
-
-def _presented(rng, code):
-    """The same diagram with shuffled labels, read from a random unit."""
-    labels = sorted(code.labels)
-    shuffled = labels[:]
-    rng.shuffle(shuffled)
-    relabel = dict(zip(labels, shuffled))
-    units = [u._replace(label=relabel[u.label]) for u in code.units]
-    return GaussCode(units).rotated(rng.randrange(len(units)))
-
-
-def _random_codes():
-    rng = random.Random(8128)
-    sizes = [rng.randint(0, 12) for _ in range(150)] + [rng.randint(13, 200) for _ in range(25)]
-    fixtures = [parse_gauss(TREFOIL), parse_gauss(EIGHT_20)]
-    return fixtures + [random_code(rng, n, signed=rng.random() < 0.8) for n in sizes]
-
-
-def _braid_codes():
-    rng = random.Random(6174)
-    return [braid_knot_code(rng, max_strands=6, max_len=16) for _ in range(60)]
-
-
-TORUS = [(3, q) for q in (2, 4, 5, 7, 8, 10, 11)] + [(5, q) for q in (2, 3, 4, 6, 7, 8, 9)]
-
-
-def _torus_codes():
-    rng = random.Random(1729)
-    out = []
-    for p, q in TORUS:
-        code = torus_code(p, q)
-        out += [code] + [_presented(rng, code) for _ in range(3)]
-    return out
-
-
-CORPORA = {"random": _random_codes, "braid": _braid_codes, "torus": _torus_codes}
-
-
-def _padded_braid_codes():
-    """Braid closures with cancelling s_j s_j^-1 pairs inserted in the word."""
-    rng = random.Random(2718)
-    out = []
-    while len(out) < 80:
-        strands = rng.randint(2, 6)
-        word = [
-            (rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(2, 14))
-        ]
-        for _ in range(rng.randint(1, 8)):
-            j, eps = rng.randint(1, strands - 1), rng.choice((1, -1))
-            at = rng.randint(0, len(word))
-            word[at:at] = [(j, eps), (j, -eps)]
-        code = braid_closure_code(word)
-        if code is not None:
-            out.append(code.rotated(rng.randrange(len(code))))
-    return out
-
-
-def _chain_heavy_codes():
-    """Random codes with alternating-sign chains inserted: an O run of 2-5
-    passes and the matching U run, forward or reversed, anywhere in the code
-    (inside other chains too), with the chain's pass letters optionally
-    flipped; read from a random unit."""
-    rng = random.Random(1618)
-    out = []
-    for _ in range(300):
-        units = list(random_code(rng, rng.randint(0, 6)).units)
-        label = len(units) // 2
-        for _ in range(rng.randint(1, 4)):
-            length = rng.randint(2, 5)
-            sign = rng.choice((POSITIVE, NEGATIVE))
-            top, bottom = (UNDER, OVER) if rng.random() < 0.3 else (OVER, UNDER)
-            chain = [(label + t, sign if t % 2 else -sign) for t in range(1, length + 1)]
-            label += length
-            first = [Unit(top, lab, sg) for lab, sg in chain]
-            second = [Unit(bottom, lab, sg) for lab, sg in chain]
-            if rng.random() < 0.5:
-                second.reverse()
-            at = rng.randint(0, len(units))
-            units[at:at] = first
-            at = rng.randint(0, len(units))
-            units[at:at] = second
-        code = GaussCode(units)
-        out.append(code.rotated(rng.randrange(len(code))))
-    return out
-
-
-def _signed_random_codes():
-    rng = random.Random(4096)
-    fixtures = [parse_gauss(TREFOIL), parse_gauss(EIGHT_20), parse_gauss(RII_PAIR)]
-    return fixtures + [random_code(rng, rng.randint(0, 14)) for _ in range(400)]
-
-
-RII_CORPORA = {
-    "random": _signed_random_codes,
-    "padded_braid": _padded_braid_codes,
-    "chain_heavy": _chain_heavy_codes,
-}
-
-
 # -- tests -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_canonical_rotation_matches_full_scan(corpus):
+def test_canonical_rotation_matches_full_scan(corpora, corpus):
     rng = random.Random(len(corpus))
-    for code in CORPORA[corpus]():
+    for code in corpora.kernel[corpus]:
         shown = code.rotated(rng.randrange(max(len(code), 1)))
         assert canonical_rotation(shown) == reference_canonical_rotation(shown), shown
 
@@ -590,8 +478,8 @@ def test_canonical_rotation_ties_pick_least_offset():
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_genus_and_cycles_match_printed_decomposition(corpus):
-    for code in CORPORA[corpus]():
+def test_genus_and_cycles_match_printed_decomposition(corpora, corpus):
+    for code in corpora.kernel[corpus]:
         walks, arc_owner = reference_cycles(code)
         decomposition = cycles(code)
         assert tuple(c.serialize() for c in decomposition.cycles) == walks
@@ -600,8 +488,8 @@ def test_genus_and_cycles_match_printed_decomposition(corpus):
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_orbit_predicates_match_arc_owners(corpus):
-    for code in CORPORA[corpus]():
+def test_orbit_predicates_match_arc_owners(corpora, corpus):
+    for code in corpora.kernel[corpus]:
         if code.n > 40:
             continue
         m = len(code)
@@ -617,9 +505,9 @@ def test_orbit_predicates_match_arc_owners(corpus):
 
 
 @pytest.mark.parametrize("corpus", sorted(RII_CORPORA))
-def test_rii_reduce_matches_round_by_round(corpus):
+def test_rii_reduce_matches_round_by_round(corpora, corpus):
     cancelled = 0
-    for code in RII_CORPORA[corpus]():
+    for code in corpora.rii[corpus]:
         ours = rii_reduce(code)
         theirs = reference_rii_reduce(code)
         assert ours.n == theirs.n, code
@@ -633,43 +521,37 @@ def test_rii_reduce_matches_round_by_round(corpus):
 
 
 @pytest.mark.parametrize("corpus", sorted(RII_CORPORA))
-def test_rii_reduce_matches_unit_worklist(corpus):
-    for code in RII_CORPORA[corpus]():
+def test_rii_reduce_matches_unit_worklist(corpora, corpus):
+    for code in corpora.rii[corpus]:
         assert rii_reduce(code).units == unit_rii_reduce(code), code
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_canonical_relabel_matches_unit_relabel(corpus):
-    for code in CORPORA[corpus]():
+def test_canonical_relabel_matches_unit_relabel(corpora, corpus):
+    for code in corpora.kernel[corpus]:
         assert canonical_form(code).units == unit_canonical_form(code), code
 
 
-def test_bridge_replace_matches_unit_block():
+def test_bridge_replace_matches_unit_block(move_record):
     replaced = 0
-    for corpora in (CORPORA, RII_CORPORA):
-        for corpus in sorted(corpora):
-            for code in corpora[corpus]():
-                if not code.signed or code.n > 12:
-                    continue
-                for bridge in enumerate_bridges(code):
-                    outcome = bridge_replace(code, bridge)
-                    ours = (
-                        outcome.result.units,
-                        outcome.anchor,
-                        outcome.guide,
-                        outcome.pattern_labels,
-                        outcome.inserted_labels,
-                    )
-                    assert ours == unit_bridge_replace(code, bridge), (code, bridge)
-                    replaced += 1
+    for _, code, bridge, outcome, _, _ in move_record:
+        ours = (
+            outcome.result.units,
+            outcome.anchor,
+            outcome.guide,
+            outcome.pattern_labels,
+            outcome.inserted_labels,
+        )
+        assert ours == unit_bridge_replace(code, bridge), (code, bridge)
+        replaced += 1
     assert replaced > 3000
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_derived_codes_match_validated_build(corpus):
+def test_derived_codes_match_validated_build(corpora, corpus):
     rng = random.Random(len(corpus) + 1)
     unsigned = 0
-    for code in CORPORA[corpus]():
+    for code in corpora.kernel[corpus]:
         genus(code)  # a derived code must not inherit these circles
         labels = sorted(code.labels)
         some = rng.sample(labels, rng.randint(0, len(labels)))
@@ -688,30 +570,17 @@ def test_derived_codes_match_validated_build(corpus):
         assert unsigned > 0  # deleting every chord of these makes a signed code
 
 
-def test_open_diagram_matches_validated_build(monkeypatch):
-    opened = []
-    real_checked = moves._checked
-
-    def spy(code, trimmed, outcome):
-        opened.append(trimmed)
-        return real_checked(code, trimmed, outcome)
-
-    monkeypatch.setattr(moves, "_checked", spy)
+def test_open_diagram_matches_validated_build(move_record):
+    # The open diagram is the one moves._checked received.
     replaced = 0
-    for corpus in sorted(CORPORA):
-        for code in CORPORA[corpus]():
-            if not code.signed or code.n > 12:
-                continue
-            for bridge in enumerate_bridges(code):
-                bridge_replace(code, bridge)
-                trimmed = opened.pop()
-                assert_as_validated(trimmed)
-                assert trimmed == remove_chords(code, bridge.labels)
-                replaced += 1
+    for _, code, bridge, _, trimmed, _ in [m for m in move_record if m.family == "kernel"]:
+        assert_as_validated(trimmed)
+        assert trimmed == remove_chords(code, bridge.labels)
+        replaced += 1
     assert replaced > 1000
 
 
-def test_search_opens_each_diagram_through_remove_chords(monkeypatch):
+def test_search_opens_each_diagram_through_remove_chords(corpora, monkeypatch):
     # bridge_replace deletes its bridge through the one public chord
     # deletion, looked up in moves at call time, once per replacement.
     calls = collections.Counter()
@@ -727,15 +596,15 @@ def test_search_opens_each_diagram_through_remove_chords(monkeypatch):
 
     counted(moves, "remove_chords")
     counted(importlib.import_module("gaussgenus.search"), "bridge_replace")
-    for corpus in sorted(RII_CORPORA):
-        for code in RII_CORPORA[corpus]()[:5]:
+    for codes in corpora.rii.values():
+        for code in codes[:5]:
             search(code, SearchConfig(max_depth=2, beam_width=4))
     assert calls["bridge_replace"] > 100
     assert calls["remove_chords"] == calls["bridge_replace"]
 
 
 @pytest.fixture(scope="module")
-def bridge_walk():
+def bridge_walk(corpora):
     """One walk of CORPORA and RII_CORPORA for the two tests below.
 
     Returns what each test checks: the enumerations that differ from the
@@ -743,38 +612,36 @@ def bridge_walk():
     caller-bridge check disagree, and the counts that show every case is met.
     """
     walk = {"enumerated": [], "entries": [], "zero_starts": {True: 0, False: 0}, "read": 0, "mixed": 0}
-    for corpora in (CORPORA, RII_CORPORA):
-        for corpus in sorted(corpora):
-            for code in corpora[corpus]():
-                for kinds in (("both",), ("O", "over"), ("U", "under")):  # spellings of one kind
-                    for min_len in (1, 2, 3):
-                        expected = reference_enumerate_bridges(code, kinds[0], min_len)
-                        for kind in kinds:
-                            if enumerate_bridges(code, kind, min_len) != expected:
-                                walk["enumerated"].append((code, kind, min_len))
-                if len(code):
-                    walk["zero_starts"][code.units[0].kind != code.units[-1].kind] += 1
-                m = len(code)
-                for start in range(m):
-                    for length in range(1, min(m, 6) + 1):
-                        try:
-                            bridge = bridge_at(code, start, length)
-                        except GaussCodeError as exc:
-                            if "mixes passes" not in str(exc):
-                                walk["entries"].append((code, start, length, str(exc)))
-                            walk["mixed"] += 1
-                            continue
-                        try:
-                            moves._require_bridge(code, bridge)
-                        except GaussCodeError as exc:
-                            walk["entries"].append((code, bridge, str(exc)))
-                        flanks = {code.units[start - 1].kind, code.units[(start + length) % m].kind}
-                        if bridge.maximal != (bridge.kind not in flanks):
-                            walk["entries"].append((code, bridge, "maximal"))
-                        walk["read"] += 1
-                for b in enumerate_bridges(code):
-                    if b != bridge_at(code, b.positions[0], len(b)):
-                        walk["entries"].append((code, b, "bridge_at"))
+    for code in itertools.chain(*corpora.kernel.values(), *corpora.rii.values()):
+        for kinds in (("both",), ("O", "over"), ("U", "under")):  # spellings of one kind
+            for min_len in (1, 2, 3):
+                expected = reference_enumerate_bridges(code, kinds[0], min_len)
+                for kind in kinds:
+                    if enumerate_bridges(code, kind, min_len) != expected:
+                        walk["enumerated"].append((code, kind, min_len))
+        if len(code):
+            walk["zero_starts"][code.units[0].kind != code.units[-1].kind] += 1
+        m = len(code)
+        for start in range(m):
+            for length in range(1, min(m, 6) + 1):
+                try:
+                    bridge = bridge_at(code, start, length)
+                except GaussCodeError as exc:
+                    if "mixes passes" not in str(exc):
+                        walk["entries"].append((code, start, length, str(exc)))
+                    walk["mixed"] += 1
+                    continue
+                try:
+                    moves._require_bridge(code, bridge)
+                except GaussCodeError as exc:
+                    walk["entries"].append((code, bridge, str(exc)))
+                flanks = {code.units[start - 1].kind, code.units[(start + length) % m].kind}
+                if bridge.maximal != (bridge.kind not in flanks):
+                    walk["entries"].append((code, bridge, "maximal"))
+                walk["read"] += 1
+        for b in enumerate_bridges(code):
+            if b != bridge_at(code, b.positions[0], len(b)):
+                walk["entries"].append((code, b, "bridge_at"))
     return walk
 
 
@@ -785,46 +652,36 @@ def test_enumerate_bridges_matches_sorted_runs(bridge_walk):
     assert min(bridge_walk["zero_starts"].values()) > 200, bridge_walk["zero_starts"]
 
 
-def test_anchor_and_guide_match_leftward_walk():
+def test_anchor_and_guide_match_leftward_walk(move_record):
     replaced = 0
-    for corpus in sorted(CORPORA):
-        for code in CORPORA[corpus]():
-            if not code.signed or code.n > 12:
-                continue
-            for bridge in enumerate_bridges(code):
-                outcome = bridge_replace(code, bridge)
-                anchor = reference_anchor(code, bridge)
-                assert outcome.anchor == anchor, (code, bridge)
-                if anchor is None:
-                    assert outcome.guide == ()
-                    continue
-                trimmed = remove_chords(code, bridge.labels)
-                xc = trimmed.units.index(anchor)
-                orbit = sigma_orbit(trimmed, (xc + 1) % len(trimmed))
-                assert outcome.guide == (anchor,) + _interleave(trimmed, orbit)[:-1]
-                replaced += 1
+    for _, code, bridge, outcome, _, _ in [m for m in move_record if m.family == "kernel"]:
+        anchor = reference_anchor(code, bridge)
+        assert outcome.anchor == anchor, (code, bridge)
+        if anchor is None:
+            assert outcome.guide == ()
+            continue
+        trimmed = remove_chords(code, bridge.labels)
+        xc = trimmed.units.index(anchor)
+        orbit = sigma_orbit(trimmed, (xc + 1) % len(trimmed))
+        assert outcome.guide == (anchor,) + _interleave(trimmed, orbit)[:-1]
+        replaced += 1
     assert replaced > 1000
 
 
-def test_guide_reader_matches_open_diagram_walk():
+def test_guide_reader_matches_open_diagram_walk(move_record):
     # moves._guide walks the guide in the code's own positions; the walk
     # that bridge_replace made in the open diagram's indices is its oracle.
     read = 0
-    for corpora in (CORPORA, RII_CORPORA):
-        for corpus in sorted(corpora):
-            for code in corpora[corpus]():
-                if not code.signed or code.n > 12:
-                    continue
-                for bridge in enumerate_bridges(code):
-                    if len(bridge) < code.n:
-                        assert moves._guide(code, bridge) == reference_guide(code, bridge)
-                        read += 1
+    for _, code, bridge, _, _, guide in move_record:
+        if len(bridge) < code.n:
+            assert guide == reference_guide(code, bridge)
+            read += 1
     assert read > 4000
 
 
-def test_require_bridge_accepts_exactly_the_runs_of_the_code():
+def test_require_bridge_accepts_exactly_the_runs_of_the_code(corpora):
     checked = 0
-    for code in CORPORA["random"]():
+    for code in corpora.kernel["random"]:
         if code.n == 0:
             continue
         m = len(code)
@@ -1042,7 +899,7 @@ def _swapped(code, a, b):
 _PREFIX_SWAPS = {12: ((1, 10), (1, 12), (2, 12)), 105: ((1, 10), (10, 100), (1, 105), (10, 104))}
 
 
-def _key_corpus():
+def _key_corpus(search_codes):
     """Signed codes labelled 1..n grouped by crossing count: canonical
     random codes whose labels cross 9/10 (n = 12) and 99/100 (n = 105),
     each also with two labels interchanged whose decimal strings begin one
@@ -1055,7 +912,7 @@ def _key_corpus():
             code = canonical_form(random_code(rng, n))
             groups[n].add(code)
             groups[n].update(_swapped(code, a, b) for a, b in _PREFIX_SWAPS[n])
-    for code in _search_codes():
+    for code in search_codes:
         root = canonical_form(code)
         groups[root.n].add(root)
         for bridge in enumerate_bridges(root):
@@ -1064,9 +921,9 @@ def _key_corpus():
     return groups
 
 
-def test_node_order_key_orders_like_serialization():
+def test_node_order_key_orders_like_serialization(corpora):
     pairs = ties = 0
-    for codes in _key_corpus().values():
+    for codes in _key_corpus(corpora.search).values():
         keyed = [(_order_key(code), code.serialize(), code) for code in codes]
         for (key_a, text_a, a), (key_b, text_b, b) in itertools.combinations(keyed, 2):
             assert (key_a < key_b) == (text_a < text_b), (a, b)
@@ -1078,23 +935,14 @@ def test_node_order_key_orders_like_serialization():
     assert pairs > 10000 and ties > 100, (pairs, ties)
 
 
-def _search_codes():
-    rng = random.Random(6765)
-    codes = [parse_gauss(EIGHT_20), random_code(rng, 4), random_code(rng, 6)]
-    codes += [braid_knot_code(rng, max_strands=4, max_len=8) for _ in range(3)]
-    # Canonical forms with two-digit labels, where "10" sorts before "9"; on
-    # the padded braid (n = 12) that order decides between nodes.
-    return codes + [random_code(rng, 11), _padded_braid_codes()[22]]
-
-
 _SEARCH_GRID = list(
     itertools.product((None, 1, 3), (True, False), (True, False), (1, 2), (1, 2, 3))
 )
 
 
 @pytest.mark.parametrize("index", range(8))
-def test_search_matches_string_keyed_search(index):
-    code = _search_codes()[index]
+def test_search_matches_string_keyed_search(corpora, index):
+    code = corpora.search[index]
     for beam, rii, strict, min_len, depth in _SEARCH_GRID:
         if code.n > 5 and beam is None and depth == 3:
             continue  # slow; exhaustive depth 3 is covered on the smaller codes
@@ -1119,14 +967,14 @@ def test_search_matches_string_keyed_search(index):
         (3, True, True, 2, 3),
     ],
 )
-def test_move_trace_replays_from_the_root(beam, rii, strict, min_len, depth):
+def test_move_trace_replays_from_the_root(corpora, beam, rii, strict, min_len, depth):
     # Each step's bridge, replaced, RII-reduced where the config says so and
     # canonicalized, gives the step's fields and the next code on the path.
     config = SearchConfig(
         max_depth=depth, beam_width=beam, min_bridge_len=min_len, apply_rii=rii, only_strict=strict
     )
     steps = 0
-    for code in _search_codes():
+    for code in corpora.search:
         result = search(code, config)
         current = canonical_form(code)
         for step in result.move_trace:
@@ -1143,65 +991,26 @@ def test_move_trace_replays_from_the_root(beam, rii, strict, min_len, depth):
             steps += 1
         assert current == result.best_code, (code, config)
         assert genus(current) == result.best_genus
-    assert steps >= len(_search_codes()), steps
+    assert steps >= len(corpora.search), steps
 
 
-def _tree_codes():
-    """Signed codes of every corpus, up to n = 14, eight from each."""
-    codes = []
-    for corpora in (CORPORA, RII_CORPORA):
-        for corpus in sorted(corpora):
-            codes += [c for c in corpora[corpus]() if c.signed and 4 <= c.n <= 14][:8]
-    return codes
-
-
-_TREE_CONFIG = SearchConfig(max_depth=3, beam_width=4)
-
-
-@pytest.fixture(scope="module")
-def search_trees():
-    """The codes, the node of every expansion when search runs on them at
-    beam 4, depth 3, and its results."""
-    search_module = importlib.import_module("gaussgenus.search")
-    real = search_module.enumerate_bridges
-    nodes = []
-
-    def spy(code, *args):
-        nodes.append(code)
-        return real(code, *args)
-
-    codes = _tree_codes()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search_module, "enumerate_bridges", spy)
-        results = [search(code, _TREE_CONFIG) for code in codes]
-    return codes, nodes, results
-
-
-# Search nodes with a move whose survivors fill the gaps of the bridge's
-# passes, but in another order or for other chords: no self-moves.
-_SAME_GAPS = ("O1+O2-U3+O4-O3+U4-U2-O5-U5-U1+", "O1+O2-U2-U3+O4-O3+U5-U6-O6-O5-U4-U1+")
-
-
-def test_gives_back_matches_the_built_child(search_trees):
+def test_gives_back_matches_the_built_child(search_record):
     # On every bridge of every RII-free node, of any length, the predicate
     # read from the parent equals the comparison with the built child.
-    _, nodes, _ = search_trees
     moved = given_back = 0
-    for node in [*nodes, *map(parse_gauss, _SAME_GAPS)]:
-        if rii_reduce(node) is not node:
-            continue  # a root with cancelling pairs
-        for bridge in enumerate_bridges(node):
-            built = canonical_form(rii_reduce(bridge_replace(node, bridge).result))
-            assert moves._gives_back(node, bridge) == (built == node), (node, bridge)
-            moved += 1
-            given_back += built == node
+    for node, bridge, built, genus_before_rii, n, cancelled in search_record.children:
+        assert moves._gives_back(node, bridge) == (built == node), (node, bridge)
+        # The record's counts before RII lead to the built child.
+        assert n - 2 * cancelled == built.n and genus(built) <= genus_before_rii, (node, bridge)
+        moved += 1
+        given_back += built == node
     assert moved > 2000 and given_back > 250, (moved, given_back)
 
 
-def test_search_without_the_prediction_is_identical(search_trees, monkeypatch):
+def test_search_without_the_prediction_is_identical(corpora, search_record, monkeypatch):
     # Pruning a move that gives back its own node counts it as the duplicate
     # that building it would have found, so the results do not change.
-    codes, _, beamed = search_trees
+    codes, beamed = corpora.tree, list(search_record.results)
     search_module = importlib.import_module("gaussgenus.search")
     real = search_module._gives_back
     predicted = 0
@@ -1216,5 +1025,5 @@ def test_search_without_the_prediction_is_identical(search_trees, monkeypatch):
     live = [search(code, exhaustive) for code in codes]
     assert predicted > 150, predicted
     monkeypatch.setattr(search_module, "_gives_back", lambda code, bridge: False)
-    assert [search(code, _TREE_CONFIG) for code in codes] == beamed
+    assert [search(code, search_record.config) for code in codes] == beamed
     assert [search(code, exhaustive) for code in codes] == live
