@@ -7,9 +7,14 @@ move sequences.
 ``gaussgenus.search`` and ``gaussgenus.cycles`` are the functions, not the
 submodules of those names: patch a submodule through
 ``importlib.import_module("gaussgenus.search")``.
+
+The band-surface oracle (``bands``) and the DT import (``dt``) load on the
+first read of one of their names, so a process that uses neither does not
+pay for them.
 """
 
-from .bands import BandSurface, band_surface, boundary_components, genus_oracle
+import importlib
+
 from .codes import (
     NEGATIVE,
     OVER,
@@ -33,7 +38,6 @@ from .cycles import (
     genus,
     remove_chords,
 )
-from .dt import DtCode, DtCodeError, dt_to_gauss, parse_dt
 from .moves import (
     Bridge,
     MoveOutcome,
@@ -48,6 +52,13 @@ from .moves import (
 from .search import SearchConfig, SearchResult, SearchStep, search
 
 __version__ = "0.1.0"
+
+# The names of the deferred submodules, and each submodule's public names.
+_DEFERRED = {
+    "bands": ("BandSurface", "band_surface", "boundary_components", "genus_oracle"),
+    "dt": ("DtCode", "DtCodeError", "dt_to_gauss", "parse_dt"),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
 
 __all__ = [
     "BandSurface",
@@ -91,3 +102,18 @@ __all__ = [
     "search",
     "strictly_decreases",
 ]
+
+
+def __getattr__(name):
+    # Called only for a name not yet in the globals (PEP 562).
+    if name in _DEFERRED:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,14 +15,11 @@ of the error that stopped it.  The argument parser is built by the first
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import dt as dt_mod
 from . import moves
 from .codes import GaussCode, GaussCodeError, InternalInvariantError, _read_int, parse_gauss
 from .cycles import _circles, cycles, genus
-from .dt import DtCodeError
 from .search import SearchConfig, search as _run_search
 
 
@@ -168,16 +165,25 @@ _HANDLERS = {
 }
 
 
+def _input_errors() -> tuple:
+    """The errors that mean bad input: GaussCodeError, and DtCodeError once
+    the DT import has loaded, as no input can raise it before."""
+    dt = sys.modules.get(f"{__package__}.dt")
+    return (GaussCodeError, dt.DtCodeError) if dt else (GaussCodeError,)
+
+
 def _report(op: str, label: str, text: str, args) -> dict:
     """The report on one input: ``op``, ``input`` (``label``), then the
     handler's fields or the error that stopped it."""
     try:
         if op == "import-dt":
-            code = dt_mod.dt_to_gauss(dt_mod.parse_dt(text))
+            from . import dt
+
+            code = dt.dt_to_gauss(dt.parse_dt(text))
         else:
             code = parse_gauss(text)
         fields = _HANDLERS[op](code, args)
-    except (GaussCodeError, DtCodeError) as exc:
+    except _input_errors() as exc:
         fields = {"error": str(exc)}
     except InternalInvariantError as exc:  # a bug; in a batch the other lines still run
         fields = {"_status": 2, "error": f"internal invariant violation: {exc}"}
@@ -246,6 +252,8 @@ def _text_lines(rep: dict, batch: bool) -> list[str]:
 
 def _emit(rep: dict, fmt: str, batch: bool = False) -> None:
     if fmt == "json":
+        import json  # only JSON reports need it
+
         print(json.dumps({k: v for k, v in rep.items() if not k.startswith("_")}))
     else:
         for line in _text_lines(rep, batch):

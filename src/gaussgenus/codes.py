@@ -205,21 +205,27 @@ class GaussCode:
             for i, u in enumerate(units):
                 kind = u.kind
                 if kind not in (OVER, UNDER):
-                    raise GaussCodeError(f"bad pass letter {kind!r} at position {i}")
+                    raise GaussCodeError(
+                        f"bad pass letter {_shown(kind, quote=True)} at position {i}"
+                    )
                 label = u.label
-                if label < 1 or type(label) is not int:  # 1.0 and True print apart
+                if type(label) is not int or label < 1:  # 1.0 and True print apart
                     raise GaussCodeError(
                         f"label {_shown(label, quote=True)} at position {i} (ints from 1)"
                     )
                 sign = u.sign
                 if sign not in _SIGN_CHAR:
-                    raise GaussCodeError(f"bad sign value {sign!r} at position {i}")
+                    raise GaussCodeError(
+                        f"bad sign value {_shown(sign, quote=True)} at position {i}"
+                    )
                 packed.append(label << 2 | (kind == UNDER) << 1 | (sign == NEGATIVE))
                 unsigned.append(sign == UNSIGNED)
         except (AttributeError, TypeError):
-            # Plain tuples and other foreign objects lack the Unit fields or
-            # carry fields of the wrong type.
-            raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
+            # Plain tuples and other foreign objects lack the Unit fields; a
+            # sign that cannot be hashed fails its lookup.
+            raise GaussCodeError(
+                f"position {i} holds {_shown(units[i], quote=True)}, not a Unit"
+            ) from None
         packed = tuple(packed)
         signed = not any(unsigned)
         mixed = unsigned if not signed and not all(unsigned) else None

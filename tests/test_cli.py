@@ -303,6 +303,20 @@ def test_overlong_label_is_invalid_input(tmp_path, capsys):
     ]
 
 
+def test_batch_report_keeps_its_whole_line_and_a_short_error(tmp_path, capsys):
+    # "input" is the whole line, so a report can be matched to its line; the
+    # error echoes the 4,000-digit label by its first 20 digits.
+    long_line = "O1+U1+O" + "9" * 4000 + "+"
+    batch = tmp_path / "codes.txt"
+    batch.write_text(f"{TREFOIL}\n{long_line}\n", encoding="utf-8")
+    status, out, _ = run(capsys, "--format", "json", "batch", str(batch), "--op", "genus")
+    assert status == 1
+    first, second = [json.loads(line) for line in out.splitlines()]
+    assert first["genus"] == 1
+    assert second["input"] == long_line
+    assert len(second["error"]) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -106,7 +106,7 @@ def test_parse_rejects_text_that_is_not_a_str(text):
     [
         [("O", 1, 1), ("U", 1, 1)],  # plain tuples
         [Unit(OVER, 1, 1), "U1+"],  # a string
-        [Unit(OVER, "1", 1), Unit(UNDER, "1", 1)],  # label of the wrong type
+        [Unit(OVER, 1, 1), None],
     ],
 )
 def test_constructor_rejects_non_units(units):
@@ -115,11 +115,29 @@ def test_constructor_rejects_non_units(units):
 
 
 @pytest.mark.parametrize(
+    "item, message",
+    [
+        (Unit(OVER, "x" * 50, 1), "label 'xxxxxxxxxxxxxxxxxxxx'... at position 0 (ints from 1)"),
+        (Unit(OVER, list(range(30)), 1), "label [0, 1, 2, 3, 4, 5, 6... at position 0 (ints from 1)"),
+        (("O", 10**30, POSITIVE), "position 0 holds ('O', 10000000000000..., not a Unit"),
+        (object(), "position 0 holds <object object at 0x..., not a Unit"),
+    ],
+    ids=["str-label", "list-label", "tuple", "object"],
+)
+def test_foreign_items_are_echoed_in_at_most_20_characters(item, message):
+    # A Unit whose label is not an int is a Unit with a bad label.
+    with pytest.raises(GaussCodeError) as err:
+        GaussCode([item, Unit(UNDER, 1, 1)])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "units, position",
     [
         ([Unit(OVER, 1.0, 1), Unit(UNDER, 1.0, 1)], 0),  # would print as O1.0+U1.0+
         ([Unit(OVER, 1, 1), Unit(UNDER, 1.0, 1)], 1),
         ([Unit(OVER, True, 1), Unit(UNDER, True, 1)], 0),  # would equal O1+U1+
+        ([Unit(OVER, "1", 1), Unit(UNDER, "1", 1)], 0),
     ],
 )
 def test_constructor_rejects_labels_that_are_not_ints(units, position):

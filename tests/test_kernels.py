@@ -59,6 +59,7 @@ from gaussgenus import moves
 from gaussgenus.codes import (
     _SIGN_CHAR,
     _UNIT_RE,
+    _shown,
     canonical_rotation,
 )
 from gaussgenus.cycles import sigma_orbit
@@ -199,15 +200,15 @@ def _unit_labels(units):
     try:
         for i, u in enumerate(units):
             if u.kind not in (OVER, UNDER):
-                raise GaussCodeError(f"bad pass letter {u.kind!r} at position {i}")
+                raise GaussCodeError(f"bad pass letter {_shown(u.kind, True)} at position {i}")
             label = u.label
-            if label < 1 or type(label) is not int:
-                raise GaussCodeError(f"label {label!r} at position {i} (ints from 1)")
+            if type(label) is not int or label < 1:
+                raise GaussCodeError(f"label {_shown(label, True)} at position {i} (ints from 1)")
             if u.sign not in _SIGN_CHAR:
-                raise GaussCodeError(f"bad sign value {u.sign!r} at position {i}")
+                raise GaussCodeError(f"bad sign value {_shown(u.sign, True)} at position {i}")
             labels.append(label)
     except (AttributeError, TypeError):
-        raise GaussCodeError(f"position {i} holds {units[i]!r}, not a Unit") from None
+        raise GaussCodeError(f"position {i} holds {_shown(units[i], True)}, not a Unit") from None
     return labels
 
 
