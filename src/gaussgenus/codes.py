@@ -214,15 +214,14 @@ class GaussCode:
                         f"label {_shown(label, quote=True)} at position {i} (ints from 1)"
                     )
                 sign = u.sign
-                if sign not in _SIGN_CHAR:
+                if type(sign) is not int or sign not in _SIGN_CHAR:  # True and 1.0 alike
                     raise GaussCodeError(
                         f"bad sign value {_shown(sign, quote=True)} at position {i}"
                     )
                 packed.append(label << 2 | (kind == UNDER) << 1 | (sign == NEGATIVE))
                 unsigned.append(sign == UNSIGNED)
         except (AttributeError, TypeError):
-            # Plain tuples and other foreign objects lack the Unit fields; a
-            # sign that cannot be hashed fails its lookup.
+            # Plain tuples and other foreign objects lack the Unit fields.
             raise GaussCodeError(
                 f"position {i} holds {_shown(units[i], quote=True)}, not a Unit"
             ) from None

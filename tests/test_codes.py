@@ -146,6 +146,18 @@ def test_constructor_rejects_labels_that_are_not_ints(units, position):
 
 
 @pytest.mark.parametrize(
+    "sign, shown",
+    [(True, "True"), (1.0, "1.0"), (False, "False"), (0.0, "0.0"), ([], "[]")],
+    ids=["true", "one-float", "false", "zero-float", "unhashable"],
+)
+def test_constructor_rejects_signs_that_are_not_ints(sign, shown):
+    # True and 1.0 equal POSITIVE, False and 0.0 UNSIGNED, but none is a sign.
+    with pytest.raises(GaussCodeError) as err:
+        GaussCode([Unit("O", 1, sign), Unit("U", 1, sign)])
+    assert str(err.value) == f"bad sign value {shown} at position 0"
+
+
+@pytest.mark.parametrize(
     "call, name",
     [
         (lambda code: code.rotated(1.5), "offset"),

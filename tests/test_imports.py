@@ -1,5 +1,6 @@
 """The package's deferred names: ``bands``, ``dt`` and ``json`` load only
-when a call uses them, and every public name is still the one object."""
+when a call uses them, and every public name is still the one object.  The
+command line run as a process, with and without docstrings (``-OO``)."""
 
 import os
 import subprocess
@@ -75,24 +76,57 @@ def test_submodule_imported_first_then_read_from_the_package():
 
 
 @pytest.mark.parametrize(
-    "argv, out",
+    "flags, argv, stdin, expected",
     [
-        (("import-dt", "4 6 2"), "O1?U3?O2?U1?O3?U2?\nn=3 s=2 g=1\n"),
-        (("import-dt", "4 6 3"), ""),
+        ((), ("import-dt", "4 6 2"), None, (0, "O1?U3?O2?U1?O3?U2?\nn=3 s=2 g=1\n", "")),
+        # a DT error is still bad input, not a bug
+        ((), ("import-dt", "4 6 3"), None, (1, "", "gaussgenus: odd entry 3\n")),
         (
+            (),
             ("--format", "json", "genus", TREFOIL),
-            '{"op": "genus", "input": "O1-U2-O3-U1-O2-U3-", "n": 3, "s": 2, "genus": 1}\n',
+            None,
+            (0, '{"op": "genus", "input": "O1-U2-O3-U1-O2-U3-", "n": 3, "s": 2, "genus": 1}\n', ""),
+        ),
+        # Without docstrings the help has no description but still prints;
+        # only its first line is compared, as argparse lays out the rest.
+        (
+            ("-OO",),
+            ("--help",),
+            None,
+            (0, "usage: gaussgenus [-h] [--format {text,json}] command ...", ""),
+        ),
+        (("-OO",), ("genus", TREFOIL), None, (0, "n=3 s=2 g=1\n", "")),
+        # A label in Arabic-Indic digits fails its own line only.
+        (
+            (),
+            ("--format", "json", "batch", "-", "--op", "genus"),
+            f"{TREFOIL}\nO\u0661-U\u0661-\n",
+            (
+                1,
+                '{"op": "genus", "input": "O1-U2-O3-U1-O2-U3-", "n": 3, "s": 2, "genus": 1}\n'
+                '{"op": "genus", "input": "O\\u0661-U\\u0661-",'
+                ' "error": "malformed unit at offset 0: \'O\\u0661-U\\u0661-\'"}\n',
+                "",
+            ),
         ),
     ],
-    ids=["import-dt", "import-dt-invalid", "json-genus"],
+    ids=[
+        "import-dt",
+        "import-dt-invalid",
+        "json-genus",
+        "help-without-docstrings",
+        "genus-without-docstrings",
+        "batch-arabic-indic-digits",
+    ],
 )
-def test_deferred_commands_as_processes(argv, out):
+def test_deferred_commands_as_processes(flags, argv, stdin, expected):
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
-        [sys.executable, "-m", "gaussgenus", *argv], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-m", "gaussgenus", *argv],
+        input=stdin,
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
     )
-    assert done.stdout == out
-    if out:
-        assert (done.returncode, done.stderr) == (0, "")
-    else:  # a DT error is still bad input, not a bug
-        assert (done.returncode, done.stderr) == (1, "gaussgenus: odd entry 3\n")
+    out = done.stdout.partition("\n")[0] if argv == ("--help",) else done.stdout
+    assert (done.returncode, out, done.stderr) == expected

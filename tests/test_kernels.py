@@ -204,7 +204,7 @@ def _unit_labels(units):
             label = u.label
             if type(label) is not int or label < 1:
                 raise GaussCodeError(f"label {_shown(label, True)} at position {i} (ints from 1)")
-            if u.sign not in _SIGN_CHAR:
+            if type(u.sign) is not int or u.sign not in _SIGN_CHAR:
                 raise GaussCodeError(f"bad sign value {_shown(u.sign, True)} at position {i}")
             labels.append(label)
     except (AttributeError, TypeError):
@@ -789,7 +789,7 @@ def test_parse_gauss_matches_unit_scan():
 _FOREIGN = [None, 7, "O1+", ("O", 1, POSITIVE), object()]
 _BAD_KINDS = ["X", "o", None, 0]
 _BAD_LABELS = [True, False, 1.0, 0.5, "1", 0, -3, None]
-_BAD_SIGNS = [2, "+", None, [], 0.5]
+_BAD_SIGNS = [2, "+", None, [], 0.5, True, 1.0, False, 0.0]
 
 
 def _mutated(rng, units):
@@ -818,7 +818,7 @@ def _mutated(rng, units):
         units[at] = u._replace(sign=rng.choice(_BAD_SIGNS))
     elif edit == 8:  # the same pass twice
         units[at] = u.flipped()
-    elif edit == 9:  # two different signs, unless True stands for POSITIVE
+    elif edit == 9:  # two different signs, or True, which is no sign
         units[at] = u._replace(sign=rng.choice((POSITIVE, NEGATIVE, UNSIGNED, True)))
     else:  # both passes of the label unsigned, or of every other label
         units[:] = [
