@@ -4,9 +4,10 @@ Parse or import a diagram code, count its Seifert circles, and lower the
 diagram genus with bridge replacement, RII cancellation, and search over
 move sequences.
 
-``gaussgenus.search`` and ``gaussgenus.cycles`` are the functions, not the
-submodules of those names: patch a submodule through
-``importlib.import_module("gaussgenus.search")``.
+The search lives in the submodule ``gaussgenus.searching`` and the circle
+orbits in ``gaussgenus.circles``.  As attributes of the package,
+``gaussgenus.search`` and ``gaussgenus.cycles`` are the functions; as
+dotted import paths they are aliases of those two modules.
 
 The band-surface oracle (``bands``) and the DT import (``dt``) load on the
 first read of one of their names, so a process that uses neither does not
@@ -14,7 +15,9 @@ pay for them.
 """
 
 import importlib
+import sys
 
+from . import circles, searching
 from .codes import (
     NEGATIVE,
     OVER,
@@ -30,7 +33,7 @@ from .codes import (
     flip_passes,
     parse_gauss,
 )
-from .cycles import (
+from .circles import (
     Cycle,
     CycleDecomposition,
     chord_removal_drops_genus,
@@ -49,7 +52,14 @@ from .moves import (
     rii_reduce,
     strictly_decreases,
 )
-from .search import SearchConfig, SearchResult, SearchStep, search
+from .searching import SearchConfig, SearchResult, SearchStep, search
+
+# The old dotted paths of the two modules: benchmarks/tracing.py rebinds names
+# in "gaussgenus.search" and "gaussgenus.cycles", and old imports such as
+# ``from gaussgenus.search import SearchConfig`` read them.  The aliases go
+# once ROADMAP item 1 rebinds the tracer.
+sys.modules[f"{__name__}.search"] = searching
+sys.modules[f"{__name__}.cycles"] = circles
 
 __version__ = "0.1.0"
 

@@ -4,7 +4,7 @@ Take an annulus and, for each chord, glue a band to the inner boundary
 circle at the chord's two endpoints, orientation-coherently.  Counting the
 boundary circles of the result by explicitly walking boundary edges gives an
 independent route to the genus: no use of the circle-orbit machinery in
-:mod:`gaussgenus.cycles`, which this module exists to cross-check.
+:mod:`gaussgenus.circles`, which this module exists to cross-check.
 """
 
 from __future__ import annotations

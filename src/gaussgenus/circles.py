@@ -161,7 +161,7 @@ def remove_chords(code: GaussCode, labels) -> GaussCode:
     keep = [i for i, c in enumerate(code.packed) if c >> 2 not in labels]
     if others or len(code.packed) - len(keep) != 2 * len(labels):
         missing = [*others, *(labels - code.labels)]
-        raise GaussCodeError(f"unknown label {_shown(min(missing, key=_label_key))}")
+        raise GaussCodeError(f"unknown label {_shown(min(missing, key=_label_key), quote=True)}")
     return _restrict(code, keep)
 
 

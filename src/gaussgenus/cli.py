@@ -19,8 +19,8 @@ import sys
 
 from . import moves
 from .codes import GaussCode, GaussCodeError, InternalInvariantError, _read_int, parse_gauss
-from .cycles import _circles, cycles, genus
-from .search import SearchConfig, search as _run_search
+from .circles import _circles, cycles, genus
+from .searching import SearchConfig, search as _run_search
 
 
 class _Parser(argparse.ArgumentParser):

@@ -186,7 +186,7 @@ class GaussCode:
     under << 1 | negative``, and ``partner`` the position of the other pass
     of the same chord; whether the signs are data is one flag for the whole
     code.  ``units``, the :class:`Unit` objects, is built on first use, as
-    are the Seifert circles (:func:`gaussgenus.cycles._circles`) and the
+    are the Seifert circles (:func:`gaussgenus.circles._circles`) and the
     hash; a derived code starts without them.
     """
 
@@ -320,10 +320,12 @@ class GaussCode:
             for i, c in enumerate(self.packed):
                 if c >> 2 == label:
                     return i, self.partner[i]
-        raise GaussCodeError(f"unknown label {_shown(label)}")
+        raise GaussCodeError(f"unknown label {_shown(label, quote=True)}")
 
     def successor(self, position: int) -> int:
         _require_int("position", position)
+        if not self.packed:
+            raise GaussCodeError("the empty code has no positions")
         return (position + 1) % len(self.packed)
 
     def rotated(self, offset: int) -> "GaussCode":

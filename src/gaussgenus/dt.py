@@ -25,6 +25,13 @@ class DtCode:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            entries = tuple(self.entries)
+        except TypeError:
+            raise DtCodeError(
+                f"entries must be an iterable of ints, not {type(self.entries).__name__}"
+            ) from None
+        object.__setattr__(self, "entries", entries)  # a list would leave it unhashable
         problems = []
         for e in self.entries:
             if type(e) is not int:  # 4.0 would print as text parse_dt rejects

@@ -33,8 +33,8 @@ from .codes import (
 # ``canonical_rotation`` and ``cycles`` are unused here but stay bound:
 # benchmarks/tracing.py rebinds them.
 from .codes import canonical_rotation  # noqa: F401
-from .cycles import cycles  # noqa: F401
-from .cycles import _circles, genus, remove_chords
+from .circles import cycles  # noqa: F401
+from .circles import _circles, genus, remove_chords
 
 _KIND_ALIASES = {
     "O": OVER,
@@ -124,7 +124,7 @@ def find_bridge(code: GaussCode, labels) -> Bridge:
     for b in enumerate_bridges(code):
         if not others and frozenset(b.labels) == target:
             return b
-    pretty = ",".join(_shown(x) for x in sorted([*target, *others], key=_label_key))
+    pretty = ",".join(_shown(x, quote=True) for x in sorted([*target, *others], key=_label_key))
     raise GaussCodeError(f"labels {{{pretty}}} do not form a maximal bridge")
 
 

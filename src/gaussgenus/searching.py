@@ -33,7 +33,7 @@ from .codes import (
     _require_int,
     canonical_form,
 )
-from .cycles import genus
+from .circles import genus
 from .moves import _gives_back, bridge_replace, enumerate_bridges, rii_reduce, strictly_decreases
 
 

@@ -8,14 +8,13 @@ moves or children loops over these records instead of building them again.
 """
 
 import collections
-import importlib
 import itertools
 import random
 
 import pytest
 
 from gaussgenus import SearchConfig, bridge_replace, canonical_form, enumerate_bridges, genus
-from gaussgenus import moves, parse_gauss, rii_reduce, search
+from gaussgenus import moves, parse_gauss, rii_reduce, search, searching
 from helpers import CORPORA, EIGHT_20, RII_CORPORA, braid_knot_code, random_code
 
 # The codes of each CORPORA and of each RII_CORPORA generator, by name; the
@@ -82,8 +81,7 @@ def move_record(corpora):
 @pytest.fixture(scope="session")
 def search_record(corpora):
     config = SearchConfig(max_depth=3, beam_width=4)
-    search_module = importlib.import_module("gaussgenus.search")
-    real = search_module.enumerate_bridges
+    real = searching.enumerate_bridges
     nodes = []
 
     def spy(code, *args):
@@ -91,7 +89,7 @@ def search_record(corpora):
         return real(code, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search_module, "enumerate_bridges", spy)
+        patch.setattr(searching, "enumerate_bridges", spy)
         results = tuple([search(code, config) for code in corpora.tree])
     children = []
     for node in [*nodes, *map(parse_gauss, SAME_GAPS)]:

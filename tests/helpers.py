@@ -15,7 +15,7 @@ from gaussgenus import (
     Unit,
     parse_gauss,
 )
-from gaussgenus.cycles import _circles
+from gaussgenus.circles import _circles
 
 TREFOIL = "O1-U2-O3-U1-O2-U3-"
 TREFOIL_CYCLES = ("O1-U1-O2-U2-O3-U3-", "U1-O1-U2-O2-U3-O3-")

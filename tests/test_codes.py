@@ -173,6 +173,11 @@ def test_offsets_that_are_not_ints_are_rejected(call, name):
         call(parse_gauss(TREFOIL))
 
 
+def test_successor_on_the_empty_code_is_refused():
+    with pytest.raises(GaussCodeError, match="^the empty code has no positions$"):
+        GaussCode([]).successor(0)
+
+
 # int() refuses text of more than 4300 digits by default, where it has a limit.
 int_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"

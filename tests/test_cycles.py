@@ -1,7 +1,6 @@
 """Circle decomposition, genus, and chord removal."""
 
 import random
-import sys
 
 import pytest
 
@@ -91,8 +90,21 @@ def test_remove_unknown_labels_of_mixed_types():
     code = parse_gauss(TREFOIL)
     with pytest.raises(GaussCodeError, match="unknown label 99"):
         remove_chords(code, ["a", 99])
-    with pytest.raises(GaussCodeError, match="unknown label a"):
+    with pytest.raises(GaussCodeError, match="^unknown label 'a'$"):
         remove_chords(code, ["a", 1])
+
+
+def test_labels_that_are_not_ints_are_quoted():
+    # The code has label 1, so an unquoted "1" would name a known crossing.
+    code = parse_gauss(TREFOIL)
+    for call in (
+        lambda: remove_chords(code, ["1"]),
+        lambda: code.positions_of("1"),
+        lambda: chord_removal_drops_genus(code, "1"),
+    ):
+        with pytest.raises(GaussCodeError) as err:
+            call()
+        assert str(err.value) == "unknown label '1'"
 
 
 def test_chord_removal_prediction_fixtures():
@@ -126,17 +138,17 @@ def test_genus_ignores_passes_and_signs():
 
 def test_parity_violation_names_the_code(monkeypatch):
     from gaussgenus import InternalInvariantError
-    from gaussgenus.cycles import _circles
+    from gaussgenus import circles
 
-    cycles_module = sys.modules["gaussgenus.cycles"]
-    monkeypatch.setattr(cycles_module, "_circles", lambda c: (None, _circles(c)[1] + 1))
+    real = circles._circles
+    monkeypatch.setattr(circles, "_circles", lambda c: (None, real(c)[1] + 1))
     with pytest.raises(InternalInvariantError, match="n \\+ s must be odd") as err:
         genus(parse_gauss(TREFOIL))
     assert TREFOIL in str(err.value)
 
 
 def test_circles_are_computed_once_and_shared():
-    from gaussgenus.cycles import _circles
+    from gaussgenus.circles import _circles
 
     code = parse_gauss(EIGHT_20)
     assert code._orbits is None

@@ -90,6 +90,20 @@ def test_entries_must_be_ints(entries):
         DtCode(entries)
 
 
+@pytest.mark.parametrize("entries, shown", [(None, "NoneType"), (4, "int")])
+def test_entries_must_be_iterable(entries, shown):
+    with pytest.raises(DtCodeError) as err:
+        DtCode(entries)
+    assert str(err.value) == f"entries must be an iterable of ints, not {shown}"
+
+
+def test_entries_are_kept_as_a_tuple():
+    # A list would leave the code unhashable and unequal to its tuple twin.
+    code = DtCode([4, 6, 2])
+    assert code.entries == (4, 6, 2) and type(code.entries) is tuple
+    assert code == DtCode((4, 6, 2)) and hash(code) == hash(DtCode((4, 6, 2)))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -1,15 +1,21 @@
 """The package's deferred names: ``bands``, ``dt`` and ``json`` load only
 when a call uses them, and every public name is still the one object.  The
-command line run as a process, with and without docstrings (``-OO``)."""
+renamed modules ``circles`` and ``searching``, reached by plain attribute and
+by their old dotted paths.  The command line run as a process, with and
+without docstrings (``-OO``)."""
 
+import importlib
 import os
+import pathlib
+import pickle
+import re
 import subprocess
 import sys
 
 import pytest
 
 import gaussgenus
-from helpers import TREFOIL
+from helpers import EIGHT_20, TREFOIL
 
 SRC = os.path.dirname(os.path.dirname(gaussgenus.__file__))
 DEFERRED = ("gaussgenus.bands", "gaussgenus.dt", "json")
@@ -28,9 +34,72 @@ def test_every_public_name_is_its_submodules_object():
         home = getattr(value, "__module__", "")  # constants have none
         if home.startswith("gaussgenus."):
             assert value is getattr(sys.modules[home], name), name
-    # the functions, not the submodules of the same names
-    assert gaussgenus.search is sys.modules["gaussgenus.search"].search
-    assert gaussgenus.cycles is sys.modules["gaussgenus.cycles"].cycles
+    assert gaussgenus.search is gaussgenus.searching.search
+    assert gaussgenus.cycles is gaussgenus.circles.cycles
+
+
+def test_renamed_modules_are_reached_by_dotted_path(monkeypatch):
+    # A patch through the dotted path sees every child a search builds: each
+    # enumerated move but those predicted to give back their own node.
+    enumerated, given_back, built = [], [], []
+    real_enumerate = gaussgenus.searching.enumerate_bridges
+    real_gives_back = gaussgenus.searching._gives_back
+    real_replace = gaussgenus.searching.bridge_replace
+
+    def spy_enumerate(code, *args):
+        bridges = real_enumerate(code, *args)
+        enumerated.extend([(code, bridge) for bridge in bridges])
+        return bridges
+
+    def spy_gives_back(code, bridge):
+        if real_gives_back(code, bridge):
+            given_back.append((code, bridge))
+            return True
+        return False
+
+    def spy_replace(code, bridge):
+        built.append((code, bridge))
+        return real_replace(code, bridge)
+
+    monkeypatch.setattr("gaussgenus.searching.enumerate_bridges", spy_enumerate)
+    monkeypatch.setattr("gaussgenus.searching._gives_back", spy_gives_back)
+    monkeypatch.setattr("gaussgenus.searching.bridge_replace", spy_replace)
+    gaussgenus.search(gaussgenus.parse_gauss(EIGHT_20), gaussgenus.SearchConfig(max_depth=2))
+    assert len(built) > 20 and given_back
+    assert built == [move for move in enumerated if move not in given_back]
+
+    walked = []
+    real_circles = gaussgenus.circles._circles
+    monkeypatch.setattr("gaussgenus.circles._circles", lambda c: walked.append(c) or real_circles(c))
+    code = gaussgenus.parse_gauss(TREFOIL)
+    assert gaussgenus.genus(code) == 1 and walked == [code]
+
+    # The old dotted paths are aliases of the renamed modules, for imports
+    # and for pickles that name them.
+    for old, module in (
+        ("gaussgenus.search", gaussgenus.searching),
+        ("gaussgenus.cycles", gaussgenus.circles),
+    ):
+        assert importlib.import_module(old) is module
+    from gaussgenus.search import SearchConfig
+
+    assert SearchConfig is gaussgenus.SearchConfig
+    old_pickle = pickle.dumps(SearchConfig(), 0).replace(b".searching\n", b".search\n")
+    assert b"gaussgenus.search\n" in old_pickle and pickle.loads(old_pickle) == SearchConfig()
+    # and the package's attributes are still the functions
+    assert callable(gaussgenus.search) and gaussgenus.search is gaussgenus.searching.search
+    assert callable(gaussgenus.cycles) and gaussgenus.cycles is gaussgenus.circles.cycles
+
+    # Nothing else reaches a module of the package by its dotted path.
+    reach = re.compile(r"""(import_module\(|sys\.modules\[)f?["']gaussgenus\.""")
+    found = [
+        f"{path}:{number}"
+        for folder in (pathlib.Path(gaussgenus.__file__).parent, pathlib.Path(__file__).parent)
+        for path in sorted(folder.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if reach.search(line)
+    ]
+    assert found == []
 
 
 def test_deferred_names_come_from_their_submodules():

@@ -22,7 +22,6 @@ serialization it stands for.
 
 import bisect
 import collections
-import importlib
 import itertools
 import random
 
@@ -55,15 +54,15 @@ from gaussgenus import (
     search,
     strictly_decreases,
 )
-from gaussgenus import moves
+from gaussgenus import moves, searching
 from gaussgenus.codes import (
     _SIGN_CHAR,
     _UNIT_RE,
     _shown,
     canonical_rotation,
 )
-from gaussgenus.cycles import sigma_orbit
-from gaussgenus.search import _order_key
+from gaussgenus.circles import sigma_orbit
+from gaussgenus.searching import _order_key
 from helpers import CORPORA, RII_CORPORA, TORUS, assert_as_validated, random_code, torus_code
 
 # -- reference implementations ------------------------------------------------
@@ -596,7 +595,7 @@ def test_search_opens_each_diagram_through_remove_chords(corpora, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(moves, "remove_chords")
-    counted(importlib.import_module("gaussgenus.search"), "bridge_replace")
+    counted(searching, "bridge_replace")
     for codes in corpora.rii.values():
         for code in codes[:5]:
             search(code, SearchConfig(max_depth=2, beam_width=4))
@@ -1012,8 +1011,7 @@ def test_search_without_the_prediction_is_identical(corpora, search_record, monk
     # Pruning a move that gives back its own node counts it as the duplicate
     # that building it would have found, so the results do not change.
     codes, beamed = corpora.tree, list(search_record.results)
-    search_module = importlib.import_module("gaussgenus.search")
-    real = search_module._gives_back
+    real = searching._gives_back
     predicted = 0
 
     def counted(code, bridge):
@@ -1022,9 +1020,9 @@ def test_search_without_the_prediction_is_identical(corpora, search_record, monk
         return real(code, bridge)
 
     exhaustive = SearchConfig(max_depth=2)
-    monkeypatch.setattr(search_module, "_gives_back", counted)
+    monkeypatch.setattr(searching, "_gives_back", counted)
     live = [search(code, exhaustive) for code in codes]
     assert predicted > 150, predicted
-    monkeypatch.setattr(search_module, "_gives_back", lambda code, bridge: False)
+    monkeypatch.setattr(searching, "_gives_back", lambda code, bridge: False)
     assert [search(code, search_record.config) for code in codes] == beamed
     assert [search(code, exhaustive) for code in codes] == live

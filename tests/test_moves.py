@@ -165,8 +165,10 @@ def test_find_bridge_requires_maximal_label_set():
 
 def test_find_bridge_names_labels_of_mixed_types():
     code = parse_gauss(TREFOIL)
-    with pytest.raises(GaussCodeError, match=r"labels \{1,x\} do not form"):
+    with pytest.raises(GaussCodeError, match=r"labels \{1,'x'\} do not form"):
         find_bridge(code, [1, "x"])
+    with pytest.raises(GaussCodeError, match=r"^labels \{'1'\} do not form"):
+        find_bridge(code, ["1"])
     with pytest.raises(GaussCodeError, match=r"labels \{9,10\} do not form"):
         find_bridge(code, [10, 9])
 
@@ -267,19 +269,16 @@ def test_replace_self_check_names_input_and_bridge(monkeypatch):
 def test_replace_parity_failure_names_input_and_bridge(monkeypatch):
     # The parent's circle count, which the self-check reads through genus,
     # breaks parity: the move reports the code and the bridge.
-    import sys
+    from gaussgenus import InternalInvariantError, circles
 
-    from gaussgenus import InternalInvariantError
-
-    cycles_module = sys.modules["gaussgenus.cycles"]
-    real_circles = cycles_module._circles
+    real_circles = circles._circles
 
     def broken(c):
         owner, s = real_circles(c)
         return owner, s + 1
 
     code = parse_gauss(EIGHT_20)
-    monkeypatch.setattr(cycles_module, "_circles", broken)
+    monkeypatch.setattr(circles, "_circles", broken)
     with pytest.raises(InternalInvariantError, match="n \\+ s must be odd") as err:
         bridge_replace(code, find_bridge(code, (4, 5)))
     assert f"(input {EIGHT_20}, bridge 4,5)" in str(err.value)
@@ -510,12 +509,10 @@ def test_rii_preserves_knot_type_on_realizable_codes():
 def test_moves_reuse_the_circle_pass_of_their_code(monkeypatch):
     # Once genus has counted the circles of a code, neither the strictness
     # test nor a replacement of any of its bridges walks that code again.
-    import sys
-
+    from gaussgenus import circles
     from gaussgenus import moves as moves_module
 
-    cycles_module = sys.modules["gaussgenus.cycles"]
-    real_circles = cycles_module._circles
+    real_circles = circles._circles
     walked = []
 
     def counted(c):
@@ -523,7 +520,7 @@ def test_moves_reuse_the_circle_pass_of_their_code(monkeypatch):
             walked.append(c)
         return real_circles(c)
 
-    for module in (cycles_module, moves_module):
+    for module in (circles, moves_module):
         monkeypatch.setattr(module, "_circles", counted)
     rng = random.Random(4)
     moved = 0
