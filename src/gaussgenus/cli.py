@@ -3,12 +3,14 @@
 Exit status: 0 on success, 1 on invalid input (diagnostic names the violated
 invariant), 2 on an internal invariant violation (a bug, never expected).
 
-One path serves every subcommand.  :func:`main` reads each input (a batch
-file gives one per line) and :func:`_report` parses it once, with
-:func:`parse_gauss` or, for ``import-dt``, the DT import.  The handler of the
-subcommand (of ``--op`` in a batch) takes the code and returns only its own
+One path serves every subcommand, and each subcommand (each ``--op`` of a
+batch) has one entry in the table ``_OPS``.  :func:`main` reads each input (a
+batch file gives one per line) and :func:`_report` parses it once, with
+:func:`parse_gauss` or the reader its entry names (the DT import for
+``import-dt``).  The entry's ``fields`` take the code and return only its own
 report fields; :func:`_report` puts ``op`` and ``input`` in front of them, or
-of the error that stopped it.  The argument parser is built by the first
+of the error that stopped it.  :func:`_emit` prints a report as JSON, or as
+the entry's ``lines``.  The argument parser is built by the first
 :func:`main` call and kept.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import moves
 from .codes import GaussCode, GaussCodeError, InternalInvariantError, _read_int, parse_gauss
@@ -30,13 +33,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_source(path: str) -> str:
-    # Stdin for "-", else a file; bytes that are not UTF-8 fail only their line.
+    # Stdin for "-", else a file; bytes that are not UTF-8 fail only their
+    # line, and a leading byte-order mark is dropped.
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    return data.decode("utf-8", "surrogateescape")
+    return data.decode("utf-8-sig", "surrogateescape")
 
 
 def _read_text(value: str) -> str:
@@ -67,29 +71,28 @@ def _ints(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-# -- handlers (each takes a parsed code and returns its own report fields) --
+# -- operations --------------------------------------------------------------
+# Each reads the package's functions by their names in this module at call
+# time, so a name rebound here (by a test, or a tracer) is the one called.
 
 
 def _stats(code: GaussCode) -> dict:
     return {"n": code.n, "s": _circles(code)[1], "genus": genus(code)}
 
 
-def _cmd_validate(code: GaussCode, args) -> dict:
-    return {"valid": True, "n": code.n, "signed": code.signed}
+def _stats_line(rep: dict) -> str:
+    return f"n={rep['n']} s={rep['s']} g={rep['genus']}"
 
 
-def _cmd_genus(code: GaussCode, args) -> dict:
-    return _stats(code)
-
-
-def _cmd_cycles(code: GaussCode, args) -> dict:
-    return {**_stats(code), "cycles": [c.serialize() for c in cycles(code).cycles]}
+def _side(kind: str) -> str:
+    # a bridge's pass letter as reports spell it
+    return "over" if kind == "O" else "under"
 
 
 def _cmd_bridges(code: GaussCode, args) -> dict:
     found = [
         {
-            "kind": "over" if b.kind == "O" else "under",
+            "kind": _side(b.kind),
             "labels": list(b.labels),
             "start": b.positions[0],
             "length": len(b),
@@ -116,6 +119,16 @@ def _cmd_move(code: GaussCode, args) -> dict:
     }
 
 
+def _move_lines(rep: dict, batch: bool) -> list[str]:
+    return [
+        rep["code"],
+        f"anchor={rep['anchor']} patterns={_ints(rep['patterns'])}"
+        f" inserted={_ints(rep['inserted'])} removed={_ints(rep['removed'])}"
+        f" genus {rep['genus_before']} -> {rep['genus']} strict={_yes(rep['strict'])}",
+        f"guide={rep['guide']}",
+    ]
+
+
 def _cmd_reduce(code: GaussCode, args) -> dict:
     reduced = moves.rii_reduce(code)
     return {"code": reduced.serialize(), **_stats(reduced), "cancelled": (code.n - reduced.n) // 2}
@@ -126,13 +139,21 @@ def _cmd_knotoid_genus(code: GaussCode, args) -> dict:
     return {"genus": moves.knotoid_genus(code, bridge), "removed": sorted(bridge.labels)}
 
 
-def _cmd_import_dt(code: GaussCode, args) -> dict:
-    # the DT code arrives already converted
-    return {"code": code.serialize(), **_stats(code)}
+def _read_dt(text: str) -> GaussCode:
+    from . import dt  # only import-dt needs it
+
+    return dt.dt_to_gauss(dt.parse_dt(text))
 
 
 def _search_report(code: GaussCode, args) -> dict:
-    result = _run_search(code, args.config)
+    config = SearchConfig(  # _count has refused every count below 1
+        max_depth=args.depth,
+        beam_width=args.beam,
+        min_bridge_len=args.min_len,
+        apply_rii=not args.no_rii,
+        only_strict=args.strict_only,
+    )
+    result = _run_search(code, config)
     return {
         "code": result.best_code.serialize(),
         **_stats(result.best_code),
@@ -140,7 +161,7 @@ def _search_report(code: GaussCode, args) -> dict:
         "duplicates_pruned": result.duplicates_pruned,
         "trace": [
             {
-                "kind": "over" if step.bridge_kind == "O" else "under",
+                "kind": _side(step.bridge_kind),
                 "bridge": list(step.bridge_labels),
                 "patterns": list(step.pattern_labels),
                 "rii_cancelled": step.rii_cancelled,
@@ -152,38 +173,72 @@ def _search_report(code: GaussCode, args) -> dict:
     }
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "genus": _cmd_genus,
-    "cycles": _cmd_cycles,
-    "bridges": _cmd_bridges,
-    "move": _cmd_move,
-    "reduce": _cmd_reduce,
-    "knotoid-genus": _cmd_knotoid_genus,
-    "import-dt": _cmd_import_dt,
-    "search": _search_report,
+def _search_lines(rep: dict, batch: bool) -> list[str]:
+    if batch:
+        return [f"g={rep['genus']} {rep['code']}"]
+    lines = [
+        rep["code"],
+        f"g={rep['genus']} crossings={rep['n']} nodes={rep['nodes_expanded']}"
+        f" pruned={rep['duplicates_pruned']} steps={len(rep['trace'])}",
+    ]
+    for step in rep["trace"]:
+        lines.append(
+            f"  {step['kind']} bridge={_ints(step['bridge'])}"
+            f" patterns={_ints(step['patterns'])} rii={step['rii_cancelled']}"
+            f" -> g={step['genus']} n={step['crossings']}"
+        )
+    return lines
+
+
+class _Op(NamedTuple):
+    fields: Callable  # (code, args) -> the op's own report fields
+    lines: Callable  # (report, batch) -> its text lines
+    read: Callable | None = None  # text -> code, in place of parse_gauss
+
+
+_OPS = {
+    "validate": _Op(
+        lambda code, args: {"valid": True, "n": code.n, "signed": code.signed},
+        lambda rep, batch: [f"valid n={rep['n']} signed={_yes(rep['signed'])}"],
+    ),
+    "genus": _Op(lambda code, args: _stats(code), lambda rep, batch: [_stats_line(rep)]),
+    "cycles": _Op(
+        lambda code, args: {**_stats(code), "cycles": [c.serialize() for c in cycles(code).cycles]},
+        lambda rep, batch: [_stats_line(rep), *rep["cycles"]],
+    ),
+    "bridges": _Op(
+        _cmd_bridges,
+        lambda rep, batch: [
+            f"{b['kind']} labels={_ints(b['labels'])} start={b['start']}"
+            f" len={b['length']} strict={_yes(b['strict'])}"
+            for b in rep["bridges"]
+        ],
+    ),
+    "move": _Op(_cmd_move, _move_lines),
+    "reduce": _Op(
+        _cmd_reduce,
+        lambda rep, batch: [
+            rep["code"], f"cancelled={rep['cancelled']} n={rep['n']} g={rep['genus']}"
+        ],
+    ),
+    "knotoid-genus": _Op(_cmd_knotoid_genus, lambda rep, batch: [f"g={rep['genus']}"]),
+    "import-dt": _Op(
+        lambda code, args: {"code": code.serialize(), **_stats(code)},
+        lambda rep, batch: [rep["code"], _stats_line(rep)],
+        read=_read_dt,
+    ),
+    "search": _Op(_search_report, _search_lines),
 }
-
-
-def _input_errors() -> tuple:
-    """The errors that mean bad input: GaussCodeError, and DtCodeError once
-    the DT import has loaded, as no input can raise it before."""
-    dt = sys.modules.get(f"{__package__}.dt")
-    return (GaussCodeError, dt.DtCodeError) if dt else (GaussCodeError,)
 
 
 def _report(op: str, label: str, text: str, args) -> dict:
     """The report on one input: ``op``, ``input`` (``label``), then the
-    handler's fields or the error that stopped it."""
+    entry's fields or the error that stopped it."""
+    entry = _OPS[op]
     try:
-        if op == "import-dt":
-            from . import dt
-
-            code = dt.dt_to_gauss(dt.parse_dt(text))
-        else:
-            code = parse_gauss(text)
-        fields = _HANDLERS[op](code, args)
-    except _input_errors() as exc:
+        code = parse_gauss(text) if entry.read is None else entry.read(text)
+        fields = entry.fields(code, args)
+    except GaussCodeError as exc:
         fields = {"error": str(exc)}
     except InternalInvariantError as exc:  # a bug; in a batch the other lines still run
         fields = {"_status": 2, "error": f"internal invariant violation: {exc}"}
@@ -199,64 +254,15 @@ def _batch_lines(path: str) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
-# -- rendering --------------------------------------------------------------
-
-
-def _text_lines(rep: dict, batch: bool) -> list[str]:
-    if "error" in rep:
-        return [f"error: {rep['error']}"]
-    op = rep["op"]
-    if op == "validate":
-        return [f"valid n={rep['n']} signed={_yes(rep['signed'])}"]
-    if op == "genus":
-        return [f"n={rep['n']} s={rep['s']} g={rep['genus']}"]
-    if op == "cycles":
-        return [f"n={rep['n']} s={rep['s']} g={rep['genus']}"] + rep["cycles"]
-    if op == "bridges":
-        return [
-            f"{b['kind']} labels={_ints(b['labels'])} start={b['start']}"
-            f" len={b['length']} strict={_yes(b['strict'])}"
-            for b in rep["bridges"]
-        ]
-    if op == "move":
-        return [
-            rep["code"],
-            f"anchor={rep['anchor']} patterns={_ints(rep['patterns'])}"
-            f" inserted={_ints(rep['inserted'])} removed={_ints(rep['removed'])}"
-            f" genus {rep['genus_before']} -> {rep['genus']} strict={_yes(rep['strict'])}",
-            f"guide={rep['guide']}",
-        ]
-    if op == "reduce":
-        return [rep["code"], f"cancelled={rep['cancelled']} n={rep['n']} g={rep['genus']}"]
-    if op == "knotoid-genus":
-        return [f"g={rep['genus']}"]
-    if op == "import-dt":
-        return [rep["code"], f"n={rep['n']} s={rep['s']} g={rep['genus']}"]
-    if op == "search":
-        if batch:
-            return [f"g={rep['genus']} {rep['code']}"]
-        lines = [
-            rep["code"],
-            f"g={rep['genus']} crossings={rep['n']} nodes={rep['nodes_expanded']}"
-            f" pruned={rep['duplicates_pruned']} steps={len(rep['trace'])}",
-        ]
-        for step in rep["trace"]:
-            lines.append(
-                f"  {step['kind']} bridge={_ints(step['bridge'])}"
-                f" patterns={_ints(step['patterns'])} rii={step['rii_cancelled']}"
-                f" -> g={step['genus']} n={step['crossings']}"
-            )
-        return lines
-    raise InternalInvariantError(f"no renderer for op {op!r}")
-
-
 def _emit(rep: dict, fmt: str, batch: bool = False) -> None:
     if fmt == "json":
         import json  # only JSON reports need it
 
         print(json.dumps({k: v for k, v in rep.items() if not k.startswith("_")}))
+    elif "error" in rep:
+        print(f"error: {rep['error']}")
     else:
-        for line in _text_lines(rep, batch):
+        for line in _OPS[rep["op"]].lines(rep, batch):
             print(line)
 
 
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default=argparse.SUPPRESS,
         help="output format (default text)",
     )
-    # The help shows the docstring up to the handler contract (none under -OO).
+    # The help shows the docstring up to the op table's contract (none under -OO).
     about = __doc__ and __doc__.split("\n\nOne path")[0]
     parser = _Parser(prog="gaussgenus", description=about)
     parser.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
@@ -330,14 +336,6 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "text")
     batch = args.op_name == "batch"
     op = args.batch_op if batch else args.op_name
-    if op == "search":  # _count has refused every count below 1
-        args.config = SearchConfig(
-            max_depth=args.depth,
-            beam_width=args.beam,
-            min_bridge_len=args.min_len,
-            apply_rii=not args.no_rii,
-            only_strict=args.strict_only,
-        )
     try:
         if batch:
             inputs = [(line, line) for line in _batch_lines(args.input)]

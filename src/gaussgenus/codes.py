@@ -18,6 +18,7 @@ negative``; :class:`Unit` objects are built only where a caller reads them.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Mapping
 from typing import Iterable, Iterator, NamedTuple
 
@@ -131,6 +132,24 @@ def _read_int(token: str, what: str, signed: bool = False, error: type = GaussCo
     raise error(f"malformed {what} {_shown(token, quote=True)}")
 
 
+# str() writes every int of at most this many bits: its digit limit is 0
+# (none) or at least 640, and 2**2000 has 603 digits.
+_PRINTABLE_BITS = 2000
+
+
+def _require_printable(n: int, what: str) -> None:
+    """GaussCodeError if str() refuses ``n`` >= 1 for having more digits
+    than sys.get_int_max_str_digits(), worded as :func:`_read_int` words it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    digits = int((n.bit_length() - 1) * 0.30102999) + 1  # a lower bound: < log10(2)
+    while n >= 10**digits:
+        digits += 1
+    if digits > limit:
+        raise GaussCodeError(f"{what} is too long ({digits} digits)")
+
+
 def _kind(c: int) -> str:
     """The pass letter of a packed unit."""
     return UNDER if c & _UNDER_BIT else OVER
@@ -213,6 +232,8 @@ class GaussCode:
                     raise GaussCodeError(
                         f"label {_shown(label, quote=True)} at position {i} (ints from 1)"
                     )
+                if label.bit_length() > _PRINTABLE_BITS:  # as parse_gauss refuses it
+                    _require_printable(label, f"label at position {i}")
                 sign = u.sign
                 if type(sign) is not int or sign not in _SIGN_CHAR:  # True and 1.0 alike
                     raise GaussCodeError(
@@ -472,6 +493,9 @@ def attach_signs(code: GaussCode, signs: Mapping[int, int]) -> GaussCode:
         if label not in signs:
             raise GaussCodeError(f"label {_shown(label)} unsigned")
         out.append(c | (signs[label] == NEGATIVE))
+    if len(signs) != code.n:  # every label of the code has a sign, so a key names none
+        unknown = min(signs.keys() - code.labels)
+        raise GaussCodeError(f"unknown label {_shown(unknown, quote=True)}")
     return GaussCode._validated(tuple(out), signed=True)
 
 

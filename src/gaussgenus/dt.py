@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import OVER, UNDER, UNSIGNED, GaussCode, Unit, _read_int, _shown
+from .codes import OVER, UNDER, UNSIGNED, GaussCode, GaussCodeError, Unit, _read_int, _shown
 
 
-class DtCodeError(ValueError):
-    """Text or entries violate the DT-code invariants."""
+class DtCodeError(GaussCodeError):
+    """Text or entries violate the DT-code invariants; a GaussCodeError, as
+    every error of bad input is."""
 
 
 @dataclass(frozen=True)

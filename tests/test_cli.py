@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, batch processing."""
 
+import codecs
 import io
 import json
 import os
@@ -238,6 +239,25 @@ def test_batch_file_with_bytes_that_are_not_utf8(tmp_path, capsys):
     assert lines[0] == "n=1 s=2 g=0"
     assert lines[1].startswith("error: malformed unit at offset 0: ")
     assert len(lines) == 2
+
+
+BOM = codecs.BOM_UTF8  # some editors write it first
+
+
+def test_batch_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # The one leading mark is dropped; another is text, and fails its line.
+    batch = tmp_path / "codes.txt"
+    batch.write_bytes(BOM + TREFOIL.encode() + b"\n" + BOM + b"O1-U1-\n")
+    status, out, _ = run(capsys, "batch", str(batch), "--op", "genus")
+    assert status == 1
+    assert out.splitlines() == ["n=3 s=2 g=1", r"error: malformed unit at offset 0: '\ufeffO1-U1-'"]
+
+
+def test_stdin_that_starts_with_a_byte_order_mark(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", bytes_stdin(BOM + TREFOIL.encode() + b"\n"))
+    assert run(capsys, "genus", "-") == (0, "n=3 s=2 g=1\n", "")
+    monkeypatch.setattr("sys.stdin", bytes_stdin(BOM + TREFOIL.encode() + b"\n"))
+    assert run(capsys, "batch", "-", "--op", "genus") == (0, "n=3 s=2 g=1\n", "")
 
 
 def test_stdin_with_bytes_that_are_not_utf8(capsys, monkeypatch):
@@ -651,6 +671,13 @@ TRANSCRIPT = {
             '"patterns": [7, 6], "rii_cancelled": 1, "genus": 2, '
             '"crossings": 9}]}\n'
         ),
+        "",
+    ),
+    "bridges-none": (
+        ("bridges", TREFOIL, "--min-len", "2"),
+        0,
+        "",
+        '{"op": "bridges", "input": "O1-U2-O3-U1-O2-U3-", "n": 3, "bridges": []}\n',
         "",
     ),
     "batch-genus": (

@@ -191,6 +191,23 @@ def test_parse_rejects_overlong_label():
         parse_gauss(f"O1+U1+ O{long}+U{long}+")
 
 
+@int_digit_limit
+def test_constructor_rejects_a_label_that_cannot_be_printed():
+    # str() refuses an int of more than 4300 digits by default, so such a
+    # code could not be serialized; with no limit it builds and prints.
+    units = [Unit(OVER, 1, 1), Unit(UNDER, 1, 1), Unit(OVER, 10**5000, 1), Unit(UNDER, 10**5000, 1)]
+    with pytest.raises(GaussCodeError) as err:
+        GaussCode(units)
+    assert str(err.value) == "label at position 2 is too long (5001 digits)"
+    assert GaussCode([Unit(OVER, 2**2000, 1), Unit(UNDER, 2**2000, 1)]).n == 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(GaussCode(units).serialize()) == 6 + 2 * 5003
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize(
     "text, offset",
     [("O\u0661-U\u0661-", 0), ("O1+U1+ O\uff12+U\uff12+", 7)],
@@ -329,6 +346,15 @@ def test_attach_signs_partial_map():
     bare = parse_gauss("O1?U2?O3?U1?O2?U3?")
     with pytest.raises(GaussCodeError, match="label 2 unsigned"):
         attach_signs(bare, {1: NEGATIVE, 3: NEGATIVE})
+
+
+def test_attach_signs_refuses_a_label_of_no_crossing():
+    # worded as remove_chords words it
+    bare = parse_gauss("O1?U2?O3?U1?O2?U3?")
+    with pytest.raises(GaussCodeError, match="^unknown label 7$"):
+        attach_signs(bare, {1: POSITIVE, 2: POSITIVE, 3: POSITIVE, 7: NEGATIVE})
+    with pytest.raises(GaussCodeError, match="^unknown label 7$"):
+        attach_signs(parse_gauss(""), {7: NEGATIVE})
 
 
 def test_attach_signs_rejects_unknown_value():

@@ -8,6 +8,7 @@ import pytest
 from gaussgenus import (
     DtCode,
     DtCodeError,
+    GaussCodeError,
     dt_to_gauss,
     flip_passes,
     genus,
@@ -34,6 +35,13 @@ def test_misprinted_code_is_rejected_with_both_defects():
         parse_dt(DT_GENUS5_MISPRINT)
     assert "duplicate 26" in str(err.value)
     assert "missing 16" in str(err.value)
+
+
+def test_dt_errors_are_gauss_code_errors():
+    # one except clause catches every error of bad input
+    assert issubclass(DtCodeError, GaussCodeError) and issubclass(DtCodeError, ValueError)
+    with pytest.raises(GaussCodeError, match="^odd entry 3$"):
+        parse_dt("3 2")
 
 
 @pytest.mark.parametrize(
