@@ -9,15 +9,21 @@ orbits in ``gaussgenus.circles``.  As attributes of the package,
 ``gaussgenus.search`` and ``gaussgenus.cycles`` are the functions; as
 dotted import paths they are aliases of those two modules.
 
-The band-surface oracle (``bands``) and the DT import (``dt``) load on the
-first read of one of their names, so a process that uses neither does not
-pay for them.
+Only parsing and the circle orbits load with the package.  The band-surface
+oracle (``bands``) and the DT import (``dt``) are imported on the first read
+of one of their names.  The moves (``moves``) and the search (``searching``)
+are module objects from the start, in ``sys.modules`` and as attributes, but
+their code runs on the first read of one of their attributes
+(``importlib.util.LazyLoader``); so the old dotted path, names rebound in
+them from outside, and ``from . import moves`` all hold the one object.  A
+process that only counts genus loads none of the four, nor ``dataclasses``.
 """
 
 import importlib
+import importlib.util
 import sys
 
-from . import circles, searching
+from . import circles
 from .codes import (
     NEGATIVE,
     OVER,
@@ -41,18 +47,21 @@ from .circles import (
     genus,
     remove_chords,
 )
-from .moves import (
-    Bridge,
-    MoveOutcome,
-    bridge_at,
-    bridge_replace,
-    enumerate_bridges,
-    find_bridge,
-    knotoid_genus,
-    rii_reduce,
-    strictly_decreases,
-)
-from .searching import SearchConfig, SearchResult, SearchStep, search
+
+
+def _lazy(name):
+    # The standard library's lazy-import recipe: the module object is in
+    # sys.modules at once, and its code runs on the first attribute read.
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+moves = _lazy("moves")
+searching = _lazy("searching")
 
 # The old dotted paths of the two modules: benchmarks/tracing.py rebinds names
 # in "gaussgenus.search" and "gaussgenus.cycles", and old imports such as
@@ -63,10 +72,24 @@ sys.modules[f"{__name__}.cycles"] = circles
 
 __version__ = "0.1.0"
 
-# The names of the deferred submodules, and each submodule's public names.
+# The submodules whose public names are read on first use, and those names.
+# ``bands`` and ``dt`` are imported then; ``moves`` and ``searching`` are
+# bound above, so a read of the module itself never reaches __getattr__.
 _DEFERRED = {
     "bands": ("BandSurface", "band_surface", "boundary_components", "genus_oracle"),
     "dt": ("DtCode", "DtCodeError", "dt_to_gauss", "parse_dt"),
+    "moves": (
+        "Bridge",
+        "MoveOutcome",
+        "bridge_at",
+        "bridge_replace",
+        "enumerate_bridges",
+        "find_bridge",
+        "knotoid_genus",
+        "rii_reduce",
+        "strictly_decreases",
+    ),
+    "searching": ("SearchConfig", "SearchResult", "SearchStep", "search"),
 }
 _HOME = {name: module for module, names in _DEFERRED.items() for name in names}
 

@@ -9,7 +9,7 @@ the cycle.  The bare unknot (empty code) counts as one circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import (
     _UNDER_BIT,
@@ -78,8 +78,7 @@ def _circles(code: GaussCode) -> tuple[tuple[int, ...], int]:
     return orbits
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """One Seifert circle: its position orbit and the printable unit walk.
 
     ``recorded`` has even length; its steps alternate between chord steps
@@ -94,8 +93,7 @@ class Cycle:
         return "".join(str(u) for u in self.recorded)
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     """All Seifert circles of a code, plus which circle traverses each arc.
 
     ``arc_owner[i]`` is the index of the cycle running along the gap between

@@ -1,10 +1,13 @@
 """Circle decomposition, genus, and chord removal."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from gaussgenus import (
+    Cycle,
     GaussCodeError,
     chord_removal_drops_genus,
     cycles,
@@ -37,6 +40,24 @@ def test_eight_20_orbit_sizes():
     assert decomposition.s == 3
     assert sorted(len(c.orbit) for c in decomposition.cycles) == [4, 4, 8]
     assert genus(parse_gauss(EIGHT_20)) == 3
+
+
+def test_decomposition_records_are_named_tuples():
+    decomposition = cycles(parse_gauss("O1-U1-"))
+    assert repr(decomposition) == (
+        "CycleDecomposition(cycles=(Cycle(orbit=(0,), recorded=(Unit(kind='O', label=1, sign=-1),"
+        " Unit(kind='U', label=1, sign=-1))), Cycle(orbit=(1,), recorded=(Unit(kind='U', label=1,"
+        " sign=-1), Unit(kind='O', label=1, sign=-1)))), arc_owner=(1, 0))"
+    )
+    assert pickle.loads(pickle.dumps(decomposition)) == decomposition
+    assert copy.copy(decomposition) == decomposition == copy.deepcopy(decomposition)
+    first = decomposition.cycles[0]
+    with pytest.raises(AttributeError):
+        decomposition.arc_owner = ()
+    with pytest.raises(AttributeError):
+        first.orbit = ()
+    assert first._replace(orbit=(5,)) == Cycle(orbit=(5,), recorded=first.recorded)
+    assert decomposition._replace(arc_owner=(0, 1)).s == 2
 
 
 def test_arc_owner_covers_every_arc():

@@ -1,8 +1,9 @@
 """The package's deferred names: ``bands``, ``dt`` and ``json`` load only
-when a call uses them, and every public name is still the one object.  The
-renamed modules ``circles`` and ``searching``, reached by plain attribute and
-by their old dotted paths.  The command line run as a process, with and
-without docstrings (``-OO``)."""
+when a call uses them, ``moves`` and ``searching`` (and with them
+``dataclasses``) run only then, and every public name is still the one
+object.  The renamed modules ``circles`` and ``searching``, reached by plain
+attribute and by their old dotted paths.  The command line run as a process,
+with and without docstrings (``-OO``)."""
 
 import importlib
 import os
@@ -18,7 +19,7 @@ import gaussgenus
 from helpers import EIGHT_20, TREFOIL
 
 SRC = os.path.dirname(os.path.dirname(gaussgenus.__file__))
-DEFERRED = ("gaussgenus.bands", "gaussgenus.dt", "json")
+DEFERRED = ("gaussgenus.bands", "gaussgenus.dt", "json", "dataclasses", "inspect")
 
 
 def isolated(code: str) -> subprocess.CompletedProcess:
@@ -124,13 +125,35 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 
 def test_cold_import_loads_no_deferred_module():
+    # Only what the import adds counts: a site hook may have loaded some before.
     probe = (
-        "import gaussgenus, gaussgenus.cli;"
-        f" print(','.join(m for m in {DEFERRED!r} if m in sys.modules))"
+        "before = set(sys.modules); import gaussgenus, gaussgenus.cli;"
+        f" print(','.join(m for m in {DEFERRED!r} if m in set(sys.modules) - before))"
     )
     done = isolated(probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_lazy_modules_run_on_first_read_and_load_pickles():
+    # The records of a search, a move and a decomposition, pickled here, are
+    # loaded by a fresh process in which only the unpickler reaches the lazy
+    # ``searching`` and ``moves``.
+    code = gaussgenus.parse_gauss(EIGHT_20)
+    records = (
+        gaussgenus.search(code, gaussgenus.SearchConfig(max_depth=1)),
+        gaussgenus.enumerate_bridges(code)[0],
+        gaussgenus.cycles(code),
+    )
+    probe = (
+        "import pickle, gaussgenus;"
+        " ran = lambda: [type(m) is type(sys) for m in (gaussgenus.moves, gaussgenus.searching)];"
+        f" before = ran(); records = pickle.loads({pickle.dumps(records)!r});"
+        " print(before, ran(), repr(records))"
+    )
+    done = isolated(probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"[False, False] [True, True] {records!r}\n"
 
 
 def test_submodule_imported_first_then_read_from_the_package():
@@ -147,6 +170,34 @@ def test_submodule_imported_first_then_read_from_the_package():
 @pytest.mark.parametrize(
     "flags, argv, stdin, expected",
     [
+        # ``searching`` and ``moves`` run on first use in the process
+        (
+            (),
+            ("search", EIGHT_20, "--depth", "1"),
+            None,
+            (
+                0,
+                "O1+O2-O3+O4-U4-U5+U6-U1+O7+O8-O5+U3+U9-O10-U2-O6-U8-O9-U10-U7+\n"
+                "g=2 crossings=10 nodes=1 pruned=0 steps=1\n"
+                "  under bridge=7,8 patterns=3,6 rii=0 -> g=2 n=10\n",
+                "",
+            ),
+        ),
+        (
+            (),
+            ("bridges", EIGHT_20, "--min-len", "2"),
+            None,
+            (
+                0,
+                "over labels=8,1 start=15 len=2 strict=yes\n"
+                "under labels=2,3 start=1 len=2 strict=yes\n"
+                "over labels=4,5 start=3 len=2 strict=yes\n"
+                "under labels=1,6 start=5 len=2 strict=yes\n"
+                "under labels=8,5 start=8 len=2 strict=no\n"
+                "over labels=2,6 start=10 len=2 strict=no\n",
+                "",
+            ),
+        ),
         ((), ("import-dt", "4 6 2"), None, (0, "O1?U3?O2?U1?O3?U2?\nn=3 s=2 g=1\n", "")),
         # a DT error is still bad input, not a bug
         ((), ("import-dt", "4 6 3"), None, (1, "", "gaussgenus: odd entry 3\n")),
@@ -180,6 +231,8 @@ def test_submodule_imported_first_then_read_from_the_package():
         ),
     ],
     ids=[
+        "search-first-use",
+        "bridges-first-use",
         "import-dt",
         "import-dt-invalid",
         "json-genus",
