@@ -4,24 +4,21 @@ Parse or import a diagram code, count its Seifert circles, and lower the
 diagram genus with bridge replacement, RII cancellation, and search over
 move sequences.
 
-The search lives in the submodule ``gaussgenus.searching`` and the circle
-orbits in ``gaussgenus.circles``.  As attributes of the package,
-``gaussgenus.search`` and ``gaussgenus.cycles`` are the functions; as
-dotted import paths they are aliases of those two modules.
+The search lives in ``gaussgenus.searching`` and the circle orbits in
+``gaussgenus.circles``; ``gaussgenus.search`` and ``gaussgenus.cycles`` are
+the functions as attributes, and the two modules as dotted import paths.
 
-Only parsing and the circle orbits load with the package.  The band-surface
-oracle (``bands``) and the DT import (``dt``) are imported on the first read
-of one of their names.  The moves (``moves``) and the search (``searching``)
-are module objects from the start, in ``sys.modules`` and as attributes, but
-their code runs on the first read of one of their attributes
-(``importlib.util.LazyLoader``); so the old dotted path, names rebound in
-them from outside, and ``from . import moves`` all hold the one object.  A
-process that only counts genus loads none of the four, nor ``dataclasses``.
+Only parsing and the circle orbits run with the package.  The band-surface
+oracle (``bands``), the DT import (``dt``), the moves (``moves``) and the
+search (``searching``) are modules from the start, but the code of each runs
+on its first read, from any thread, under one lock.  A process that only
+counts genus runs none of the four, nor loads ``dataclasses``.
 """
 
-import importlib
-import importlib.util
 import sys
+from _thread import RLock
+from importlib.util import find_spec, module_from_spec
+from types import ModuleType
 
 from . import circles
 from .codes import (
@@ -48,33 +45,9 @@ from .circles import (
     remove_chords,
 )
 
-
-def _lazy(name):
-    # The standard library's lazy-import recipe: the module object is in
-    # sys.modules at once, and its code runs on the first attribute read.
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-moves = _lazy("moves")
-searching = _lazy("searching")
-
-# The old dotted paths of the two modules: benchmarks/tracing.py rebinds names
-# in "gaussgenus.search" and "gaussgenus.cycles", and old imports such as
-# ``from gaussgenus.search import SearchConfig`` read them.  The aliases go
-# once ROADMAP item 1 rebinds the tracer.
-sys.modules[f"{__name__}.search"] = searching
-sys.modules[f"{__name__}.cycles"] = circles
-
 __version__ = "0.1.0"
 
-# The submodules whose public names are read on first use, and those names.
-# ``bands`` and ``dt`` are imported then; ``moves`` and ``searching`` are
-# bound above, so a read of the module itself never reaches __getattr__.
+# The submodules that run on first read, with the names __getattr__ binds from each.
 _DEFERRED = {
     "bands": ("BandSurface", "band_surface", "boundary_components", "genus_oracle"),
     "dt": ("DtCode", "DtCodeError", "dt_to_gauss", "parse_dt"),
@@ -92,6 +65,43 @@ _DEFERRED = {
     "searching": ("SearchConfig", "SearchResult", "SearchStep", "search"),
 }
 _HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+_LOCK = RLock()  # one for the four, as one may read another while it runs
+_RUNNING = set()  # the modules whose code runs now, on the thread that holds _LOCK
+
+
+class _Deferred(ModuleType):
+    # The first read runs the module under the lock and only then switches the
+    # class back, so other threads wait for the whole module.  The loading
+    # thread's own reads meanwhile (exec_module reads ``__name__``) load nothing.
+    def __getattribute__(self, name):
+        with _LOCK:
+            if type(self) is _Deferred and self not in _RUNNING:
+                _RUNNING.add(self)
+                try:
+                    ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                    self.__class__ = ModuleType
+                finally:
+                    _RUNNING.discard(self)
+        return ModuleType.__getattribute__(self, name)
+
+    def __setattr__(self, name, value):
+        self.__dict__  # noqa: B018 (the read runs the module, so the name set here stays)
+        ModuleType.__setattr__(self, name, value)
+
+
+def _defer(spec):
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    module.__class__ = _Deferred  # last: from here on a read runs it
+    return module
+
+
+globals().update({name: _defer(find_spec(f"{__name__}.{name}")) for name in _DEFERRED})
+
+# The old dotted paths of the two modules, which benchmarks/tracing.py and old
+# imports (``from gaussgenus.search import SearchConfig``) read.  The aliases
+# go once ROADMAP item 1 rebinds the tracer.
+sys.modules[f"{__name__}.search"] = searching
+sys.modules[f"{__name__}.cycles"] = circles
 
 __all__ = [
     "BandSurface",
@@ -139,13 +149,9 @@ __all__ = [
 
 def __getattr__(name):
     # Called only for a name not yet in the globals (PEP 562).
-    if name in _DEFERRED:
-        return importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    return globals().setdefault(name, getattr(globals()[_HOME[name]], name))
 
 
 def __dir__():

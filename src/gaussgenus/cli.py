@@ -20,7 +20,7 @@ import argparse
 import sys
 from typing import Callable, NamedTuple
 
-from . import moves, searching
+from . import dt, moves, searching
 from .codes import GaussCode, GaussCodeError, InternalInvariantError, _read_int, parse_gauss
 from .circles import _circles, cycles, genus
 
@@ -138,14 +138,8 @@ def _cmd_knotoid_genus(code: GaussCode, args) -> dict:
     return {"genus": moves.knotoid_genus(code, bridge), "removed": sorted(bridge.labels)}
 
 
-def _read_dt(text: str) -> GaussCode:
-    from . import dt  # only import-dt needs it
-
-    return dt.dt_to_gauss(dt.parse_dt(text))
-
-
 def _run_search(code: GaussCode, config) -> searching.SearchResult:
-    # a name of this module, so a tracer can rebind it; ``searching`` runs here first
+    # a name of this module, so a tracer can rebind it
     return searching.search(code, config)
 
 
@@ -229,7 +223,7 @@ _OPS = {
     "import-dt": _Op(
         lambda code, args: {"code": code.serialize(), **_stats(code)},
         lambda rep, batch: [rep["code"], _stats_line(rep)],
-        read=_read_dt,
+        read=lambda text: dt.dt_to_gauss(dt.parse_dt(text)),
     ),
     "search": _Op(_search_report, _search_lines),
 }

@@ -1,9 +1,9 @@
-"""The package's deferred names: ``bands``, ``dt`` and ``json`` load only
-when a call uses them, ``moves`` and ``searching`` (and with them
-``dataclasses``) run only then, and every public name is still the one
-object.  The renamed modules ``circles`` and ``searching``, reached by plain
-attribute and by their old dotted paths.  The command line run as a process,
-with and without docstrings (``-OO``)."""
+"""The package's deferred names: ``bands``, ``dt``, ``moves`` and
+``searching`` run (and ``json`` and ``dataclasses`` load) only when a call
+uses them, a first read from many threads at once sees whole modules, and
+every public name is still the one object.  The renamed modules ``circles``
+and ``searching``, reached by plain attribute and by their old dotted paths.
+The command line run as a process, with and without docstrings (``-OO``)."""
 
 import importlib
 import os
@@ -19,7 +19,9 @@ import gaussgenus
 from helpers import EIGHT_20, TREFOIL
 
 SRC = os.path.dirname(os.path.dirname(gaussgenus.__file__))
-DEFERRED = ("gaussgenus.bands", "gaussgenus.dt", "json", "dataclasses", "inspect")
+# The package's modules that must not have run, and the others that must not have loaded.
+UNRUN = ("gaussgenus.bands", "gaussgenus.dt", "gaussgenus.moves", "gaussgenus.searching")
+UNLOADED = ("json", "dataclasses", "inspect")
 
 
 def isolated(code: str) -> subprocess.CompletedProcess:
@@ -112,6 +114,7 @@ def test_deferred_names_come_from_their_submodules():
 
 def test_dir_and_star_import_cover_all():
     assert set(gaussgenus.__all__) <= set(dir(gaussgenus))
+    assert set(gaussgenus._HOME) <= set(gaussgenus.__all__)  # a deferred name is public
     names = {}
     exec("from gaussgenus import *", names)
     assert set(gaussgenus.__all__) <= set(names)
@@ -125,10 +128,13 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 
 def test_cold_import_loads_no_deferred_module():
-    # Only what the import adds counts: a site hook may have loaded some before.
+    # The package's four are in sys.modules from the start, so each is checked
+    # by whether its code ran.  Of the others only what the import adds counts:
+    # a site hook may have loaded some before.
     probe = (
-        "before = set(sys.modules); import gaussgenus, gaussgenus.cli;"
-        f" print(','.join(m for m in {DEFERRED!r} if m in set(sys.modules) - before))"
+        "import types; before = set(sys.modules); import gaussgenus, gaussgenus.cli;"
+        f" print(','.join([m for m in {UNRUN!r} if type(sys.modules[m]) is types.ModuleType]"
+        f" + [m for m in {UNLOADED!r} if m in set(sys.modules) - before]))"
     )
     done = isolated(probe)
     assert done.returncode == 0, done.stderr
@@ -136,24 +142,59 @@ def test_cold_import_loads_no_deferred_module():
 
 
 def test_lazy_modules_run_on_first_read_and_load_pickles():
-    # The records of a search, a move and a decomposition, pickled here, are
-    # loaded by a fresh process in which only the unpickler reaches the lazy
-    # ``searching`` and ``moves``.
+    # The records of a search, a move, a decomposition, a DT code and a band
+    # surface, pickled here, are loaded by a fresh process in which only the
+    # unpickler reaches the four deferred modules.
     code = gaussgenus.parse_gauss(EIGHT_20)
     records = (
         gaussgenus.search(code, gaussgenus.SearchConfig(max_depth=1)),
         gaussgenus.enumerate_bridges(code)[0],
         gaussgenus.cycles(code),
+        gaussgenus.parse_dt("4 6 2"),
+        gaussgenus.band_surface(code),
     )
     probe = (
-        "import pickle, gaussgenus;"
-        " ran = lambda: [type(m) is type(sys) for m in (gaussgenus.moves, gaussgenus.searching)];"
+        "import pickle, gaussgenus; g = gaussgenus;"
+        " ran = lambda: [type(m) is type(sys) for m in (g.moves, g.searching, g.dt, g.bands)];"
         f" before = ran(); records = pickle.loads({pickle.dumps(records)!r});"
         " print(before, ran(), repr(records))"
     )
     done = isolated(probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"[False, False] [True, True] {records!r}\n"
+    assert done.stdout == f"{[False] * 4} {[True] * 4} {records!r}\n"
+
+
+def test_first_read_from_many_threads_sees_whole_modules():
+    # Eight threads make the first read of a deferred name at once, switching
+    # often; each call returns, none meets a half-run module.
+    probe = (
+        "import threading, gaussgenus; sys.setswitchinterval(1e-5)\n"
+        "barrier = threading.Barrier(8); out = []\n"
+        "def first_read():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        config = gaussgenus.SearchConfig(max_depth=1)\n"
+        f"        best = gaussgenus.search(gaussgenus.parse_gauss({TREFOIL!r}), config).best_code\n"
+        "        out.append((best.n, gaussgenus.parse_dt('4 6 2').entries))\n"
+        "    except Exception as exc:\n"
+        "        out.append(repr(exc))\n"
+        "threads = [threading.Thread(target=first_read, daemon=True) for _ in range(8)]\n"
+        "[t.start() for t in threads]; [t.join(60) for t in threads]\n"
+        "print(sum(t.is_alive() for t in threads), len(out), sorted(set(map(str, out))))"
+    )
+    done = isolated(probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 8 ['(3, (4, 6, 2))']\n"
+
+
+def test_name_set_before_the_first_read_outlives_the_load():
+    probe = (
+        "import gaussgenus; gaussgenus.moves.find_bridge = None;"
+        " print(gaussgenus.moves.find_bridge, type(gaussgenus.moves) is type(sys))"
+    )
+    done = isolated(probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "None True\n"
 
 
 def test_submodule_imported_first_then_read_from_the_package():
